@@ -101,13 +101,13 @@ impl NextHopBuffers {
             .unwrap_or(0)
     }
 
-    /// Next hops with at least one buffered packet, in first-use order.
-    pub fn occupied_next_hops(&self) -> Vec<NodeId> {
+    /// The first next hop, in first-use order, with at least one
+    /// buffered packet and at least `min_bytes` buffered bytes.
+    pub fn first_hop_holding(&self, min_bytes: usize) -> Option<NodeId> {
         self.queues
             .iter()
-            .filter(|(_, q, _)| !q.is_empty())
+            .find(|(_, q, bytes)| !q.is_empty() && *bytes >= min_bytes)
             .map(|(n, ..)| *n)
-            .collect()
     }
 
     /// Buffers `pkt` for `next_hop`. Returns `false` (and counts an
@@ -261,7 +261,16 @@ mod tests {
         assert_eq!(b.bytes_for(NodeId(1)), 64);
         assert_eq!(b.bytes_for(NodeId(2)), 32);
         assert_eq!(b.packets_for(NodeId(1)), 2);
-        assert_eq!(b.occupied_next_hops(), vec![NodeId(1), NodeId(2)]);
+        // First-use order, filtered by the byte threshold.
+        assert_eq!(b.first_hop_holding(1), Some(NodeId(1)));
+        assert_eq!(b.first_hop_holding(64), Some(NodeId(1)));
+        assert_eq!(b.first_hop_holding(65), None);
+        b.take_up_to(NodeId(1), 64);
+        assert_eq!(
+            b.first_hop_holding(0),
+            Some(NodeId(2)),
+            "empty queues never hold"
+        );
         b.check_conservation();
     }
 

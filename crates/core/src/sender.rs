@@ -426,12 +426,7 @@ impl BcpSender {
         if self.session.is_some() {
             return;
         }
-        let Some(next_hop) = self
-            .buffers
-            .occupied_next_hops()
-            .into_iter()
-            .find(|nh| self.buffers.bytes_for(*nh) >= self.effective_threshold())
-        else {
+        let Some(next_hop) = self.buffers.first_hop_holding(self.effective_threshold()) else {
             return;
         };
         let burst = BurstId::new(self.node, self.burst_counter);

@@ -112,6 +112,8 @@ const BUCKETS: usize = 1024;
 const BUCKET_SHIFT: u32 = 14;
 /// Words in the occupied-bucket bitmap.
 const OCC_WORDS: usize = BUCKETS / 64;
+/// Most emptied bucket vectors kept for reuse.
+const SPARE_CAP: usize = 64;
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -168,6 +170,9 @@ pub struct ShardQueue<E> {
     occ: [u64; OCC_WORDS],
     /// Physical entry count across all wheel buckets (dead included).
     wheel_count: usize,
+    /// Emptied bucket vectors with their capacity, handed to buckets as
+    /// they fill so a wheel lap does not re-grow vectors from zero.
+    spare: Vec<Vec<Entry<E>>>,
     /// Entries at or past the wheel horizon, unsorted.
     overflow: Vec<Entry<E>>,
     /// Lower bound on the absolute bucket of any overflow entry
@@ -209,6 +214,7 @@ impl<E> ShardQueue<E> {
             wheel: (0..BUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; OCC_WORDS],
             wheel_count: 0,
+            spare: Vec::new(),
             overflow: Vec::new(),
             overflow_min: u64::MAX,
             cur_abs: 0,
@@ -289,10 +295,7 @@ impl<E> ShardQueue<E> {
             self.young.push(entry);
             // `young`'s top is now live: the invariant holds by itself.
         } else if abs < self.cur_abs + BUCKETS as u64 {
-            let p = (abs % BUCKETS as u64) as usize;
-            self.wheel[p].push(entry);
-            self.occ[p / 64] |= 1 << (p % 64);
-            self.wheel_count += 1;
+            self.wheel_push(abs, entry);
             self.normalize();
         } else {
             self.overflow_min = self.overflow_min.min(abs);
@@ -300,6 +303,28 @@ impl<E> ShardQueue<E> {
             self.normalize();
         }
         CancelId::new(slot, gen)
+    }
+
+    /// Files `entry` in the wheel bucket for absolute index `abs` (inside
+    /// the horizon), reusing a spare vector when the bucket has none.
+    fn wheel_push(&mut self, abs: u64, entry: Entry<E>) {
+        let p = (abs % BUCKETS as u64) as usize;
+        if self.wheel[p].capacity() == 0 {
+            if let Some(v) = self.spare.pop() {
+                self.wheel[p] = v;
+            }
+        }
+        self.wheel[p].push(entry);
+        self.occ[p / 64] |= 1 << (p % 64);
+        self.wheel_count += 1;
+    }
+
+    /// Keeps an emptied vector's capacity for the next bucket to fill.
+    fn recycle(&mut self, v: Vec<Entry<E>>) {
+        debug_assert!(v.is_empty());
+        if v.capacity() > 0 && self.spare.len() < SPARE_CAP {
+            self.spare.push(v);
+        }
     }
 
     /// Schedules `ev` at `time` from within the shard. Same-instant events
@@ -430,15 +455,16 @@ impl<E> ShardQueue<E> {
     fn advance(&mut self, abs: u64) {
         self.cur_abs = abs;
         let p = (abs % BUCKETS as u64) as usize;
-        let bucket = std::mem::take(&mut self.wheel[p]);
+        let mut bucket = std::mem::take(&mut self.wheel[p]);
         self.occ[p / 64] &= !(1 << (p % 64));
         self.wheel_count -= bucket.len();
         debug_assert!(self.due.is_empty());
-        for e in bucket {
+        for e in bucket.drain(..) {
             if !self.is_dead(&e) {
                 self.due.push(e);
             }
         }
+        self.recycle(bucket);
         self.due
             .sort_unstable_by_key(|e| std::cmp::Reverse((e.key, e.seq)));
     }
@@ -471,9 +497,9 @@ impl<E> ShardQueue<E> {
     /// with the redistributed overflow entries in exact key order.
     /// Precondition: `due`/`young` empty.
     fn re_anchor(&mut self) {
-        let mut kept = std::mem::take(&mut self.overflow);
-        kept.retain(|e| self.gens[e.slot as usize] == e.gen);
-        let Some(min_abs) = kept.iter().map(|e| abs_bucket(e.key.time)).min() else {
+        let gens = &self.gens;
+        self.overflow.retain(|e| gens[e.slot as usize] == e.gen);
+        let Some(min_abs) = self.overflow.iter().map(|e| abs_bucket(e.key.time)).min() else {
             self.overflow_min = u64::MAX;
             return; // every overflow entry was dead
         };
@@ -483,10 +509,11 @@ impl<E> ShardQueue<E> {
             // the true minimum, and let the caller's loop advance the
             // wheel instead.
             self.overflow_min = min_abs;
-            self.overflow = kept;
             return;
         }
         debug_assert!(min_abs > self.cur_abs, "overflow is strictly ahead");
+        let spare = self.spare.pop().unwrap_or_default();
+        let mut kept = std::mem::replace(&mut self.overflow, spare);
         self.cur_abs = min_abs;
         self.overflow_min = u64::MAX;
         let p0 = (min_abs % BUCKETS as u64) as usize;
@@ -494,30 +521,29 @@ impl<E> ShardQueue<E> {
             // A wheel bucket shares the anchor's absolute index (it can
             // only be `min_abs` itself — anything else in range would have
             // a different physical slot).
-            let bucket = std::mem::take(&mut self.wheel[p0]);
+            let mut bucket = std::mem::take(&mut self.wheel[p0]);
             self.occ[p0 / 64] &= !(1 << (p0 % 64));
             self.wheel_count -= bucket.len();
-            for e in bucket {
+            for e in bucket.drain(..) {
                 debug_assert_eq!(abs_bucket(e.key.time), min_abs);
                 if !self.is_dead(&e) {
                     self.young.push(e);
                 }
             }
+            self.recycle(bucket);
         }
-        for e in kept {
+        for e in kept.drain(..) {
             let abs = abs_bucket(e.key.time);
             if abs <= self.cur_abs {
                 self.young.push(e);
             } else if abs < self.cur_abs + BUCKETS as u64 {
-                let p = (abs % BUCKETS as u64) as usize;
-                self.wheel[p].push(e);
-                self.occ[p / 64] |= 1 << (p % 64);
-                self.wheel_count += 1;
+                self.wheel_push(abs, e);
             } else {
                 self.overflow_min = self.overflow_min.min(abs);
                 self.overflow.push(e);
             }
         }
+        self.recycle(kept);
     }
 
     /// The key of the earliest live event, without removing it.

@@ -5,8 +5,9 @@
 //! ever leave through [`ShardState::start_tx`].
 
 use crate::events::{Class, Ev, Payload};
+use crate::fate::{fate_key, Fate};
 use crate::scenario::HighRoute;
-use crate::shard::{trace_class, Fate, ShardCtx, ShardState};
+use crate::shard::{trace_class, ShardCtx, ShardState};
 use bcp_core::msg::{BurstId, HandshakeMsg};
 use bcp_core::receiver::ReceiverAction;
 use bcp_core::sender::{DropReason, SenderAction};
@@ -181,19 +182,20 @@ impl ShardState {
         pkt: &bcp_core::msg::AppPacket,
         now: bcp_sim::time::SimTime,
     ) -> bool {
-        if self.is_broadcast_flood(pkt) {
-            let already = matches!(
-                self.fates.get(&crate::shard::fate_key(pkt)),
-                Some(m) if m.fate == Fate::Delivered
+        // A copy's deliveries all happen on its destination's shard, so
+        // the local bitmap sees every duplicate.
+        if !self.fates.deliver(fate_key(pkt)) {
+            assert!(
+                self.is_broadcast_flood(pkt),
+                "duplicate delivery of {:?} at {}",
+                pkt.id,
+                pkt.dest
             );
-            if already {
-                return false;
-            }
+            return false;
         }
         let alive_prefix = !self.shared.death_seen;
         self.metrics.on_delivered(pkt, now, alive_prefix);
         let key = ctx.current_key();
-        self.fate_delivered(pkt, key);
         self.trace_with(key, || TraceEvent::PktDeliver {
             node: pkt.dest.0,
             pkt: pkt.id.0,

@@ -52,6 +52,7 @@
 pub mod channel;
 mod dispatch;
 pub mod events;
+mod fate;
 pub mod metrics;
 pub mod node;
 mod power;

@@ -82,12 +82,14 @@ pub struct Metrics {
     pub drops_buffer: u64,
     /// Packets lost to MAC retry exhaustion or MAC queue overflow. A MAC
     /// "failure" whose frame actually arrived (lost ACK) is *not* counted:
-    /// fates are reconciled per packet at the end of the run.
+    /// a copy's delivery beats every loss observed for it, wherever and
+    /// whenever either was seen.
     pub drops_mac: u64,
-    /// Packets still buffered or in flight when the run ended. Under a
-    /// broadcast pattern this also covers copies stranded by an upstream
-    /// tree-edge loss (only the failed edge's own copy is marked as a
-    /// drop; the subtree behind it was simply never served).
+    /// Packets still buffered or in flight when the run ended: the
+    /// generated copies neither delivered nor lost. Under a broadcast
+    /// pattern this also covers copies stranded by an upstream tree-edge
+    /// loss (only the failed edge's own copy is marked as a drop; the
+    /// subtree behind it was simply never served).
     pub residual_packets: u64,
     /// Wake-up handshakes begun.
     pub handshakes: u64,

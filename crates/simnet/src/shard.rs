@@ -17,6 +17,7 @@
 
 use crate::channel::{Channel, ClassPhys, NeighborIndex};
 use crate::events::{Class, Ev, GlobalEv, Payload, TxId};
+use crate::fate::{fate_key, Fate, FateBook, FateMark};
 use crate::metrics::Metrics;
 use crate::node::NodeState;
 use crate::routes::SharedNet;
@@ -35,42 +36,6 @@ use std::sync::Arc;
 
 /// The handler context every shard method receives.
 pub(crate) type ShardCtx<'a> = Ctx<'a, Ev, GlobalEv>;
-
-/// Final state of one application packet (reconciled at run end).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Fate {
-    /// Still buffered or in flight.
-    Pending,
-    /// Received at the copy's destination.
-    Delivered,
-    /// Shed by a MAC (retry exhaustion or queue overflow).
-    LostMac,
-    /// Shed by a BCP buffer overflow.
-    LostBuffer,
-}
-
-/// A fate observation with the key of the event that made it, so the
-/// per-shard observations merge into the same verdict the sequential run
-/// reaches (earliest loss wins; delivery beats losses).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FateMark {
-    /// The observed fate.
-    pub fate: Fate,
-    /// The key of the event that observed it.
-    pub key: EvKey,
-}
-
-/// Identity of one *accountable copy* of an application packet: the
-/// packet id plus the copy's final destination. Convergecast and gossip
-/// packets have exactly one copy; a broadcast arrival fans out into one
-/// copy per intended recipient (all sharing the packet id), so the
-/// destination is part of the identity.
-pub type FateKey = (u64, u32);
-
-/// The fate-map key of one packet copy.
-pub(crate) fn fate_key(pkt: &AppPacket) -> FateKey {
-    (pkt.id.0, pkt.dest.0)
-}
 
 /// The trace vocabulary's view of a radio class.
 pub(crate) fn trace_class(class: Class) -> TraceClass {
@@ -122,7 +87,8 @@ pub(crate) struct ShardState {
     /// wake-up preamble). A receiver waking mid-preamble uses this to
     /// lock onto the frame; only populated under an LPL schedule.
     pub lpl_audible: HashMap<u32, Vec<(TxId, SimTime)>>,
-    pub fates: HashMap<FateKey, FateMark>,
+    /// Fate state of the copies that can still change an outcome.
+    pub fates: FateBook,
     /// Each sender's flow destination (indexed by node id; the sink for
     /// non-senders). Broadcast sources are handled before this is read.
     pub flow_dest: Arc<Vec<NodeId>>,
@@ -293,51 +259,9 @@ impl ShardState {
     // Per-packet fate observations
     // ------------------------------------------------------------------
 
-    pub(crate) fn fate_generated(&mut self, pkt: &AppPacket, key: EvKey) {
-        let prev = self.fates.insert(
-            fate_key(pkt),
-            FateMark {
-                fate: Fate::Pending,
-                key,
-            },
-        );
-        debug_assert!(prev.is_none(), "packet id reuse");
-    }
-
-    pub(crate) fn fate_delivered(&mut self, pkt: &AppPacket, key: EvKey) {
-        // A copy's deliveries all happen on its destination's shard, so
-        // duplicate delivery is still locally detectable.
-        let mark = FateMark {
-            fate: Fate::Delivered,
-            key,
-        };
-        if let Some(prev) = self.fates.insert(fate_key(pkt), mark) {
-            assert_ne!(
-                prev.fate,
-                Fate::Delivered,
-                "duplicate delivery of {:?} at {}",
-                pkt.id,
-                pkt.dest
-            );
-            // LostMac -> Delivered is legal: the MAC's ACK was lost but
-            // the frame got through (false-negative link failure).
-        }
-    }
-
-    /// Observes the loss of one packet copy. Within a shard the earliest
-    /// observation wins and a delivery is never downgraded; across shards
-    /// the merge at run end applies the same rule by key.
+    /// Observes the loss of one packet copy (see [`FateBook::lose`]).
     pub(crate) fn fate_lost(&mut self, pkt: &AppPacket, fate: Fate, key: EvKey) {
-        let mark = FateMark { fate, key };
-        match self.fates.get_mut(&fate_key(pkt)) {
-            Some(m) if m.fate == Fate::Pending => *m = mark,
-            Some(_) => {}
-            None => {
-                // Generated on another shard; record the observation for
-                // the merge.
-                self.fates.insert(fate_key(pkt), mark);
-            }
-        }
+        self.fates.lose(fate_key(pkt), FateMark { fate, key });
     }
 
     /// The time after which no further packets are generated.
@@ -390,7 +314,6 @@ impl ShardState {
             for r in recipients {
                 let copy = AppPacket { dest: r, ..pkt };
                 self.metrics.on_generated(&copy, alive_prefix);
-                self.fate_generated(&copy, key);
             }
             // The flood enters the system once, at its source.
             self.trace_with(key, || TraceEvent::PktEnqueue {
@@ -404,7 +327,6 @@ impl ShardState {
         }
         self.metrics.on_generated(&pkt, alive_prefix);
         let key = ctx.current_key();
-        self.fate_generated(&pkt, key);
         self.trace_with(key, || TraceEvent::PktEnqueue {
             node: node.0,
             pkt: pkt.id.0,

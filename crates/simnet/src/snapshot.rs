@@ -9,10 +9,11 @@
 //! pending-event set (with exact tie-breaking keys), every node's MAC /
 //! radio / BCP / workload / battery registers, the per-node channel and
 //! loss-RNG state, routes and liveness as last published, the metric
-//! counters and per-copy packet fates, and the series sampler's grid
-//! position. Restoring and running to the horizon produces the same
-//! [`RunStats`](crate::metrics::RunStats) — bit for bit, excluding only
-//! the wall-clock `.engine` block — as the uninterrupted run.
+//! counters, the delivered-copy bitmaps and unsettled losses, and the
+//! series sampler's grid position. Restoring and running to the horizon
+//! produces the same [`RunStats`](crate::metrics::RunStats) — bit for
+//! bit, excluding only the wall-clock `.engine` block — as the
+//! uninterrupted run.
 //!
 //! Because everything in a `WorldState` is indexed by *global node id*
 //! and event identities are shard-count independent by construction, the
@@ -34,12 +35,13 @@
 
 use crate::channel::Channel;
 use crate::events::{Class, Ev, GlobalEv, Payload, TxId};
+use crate::fate::{delivered_flows, settled_losses, FateBook};
 use crate::metrics::Metrics;
 use crate::node::NodeState;
 use crate::routes::{Control, SeriesState, SharedNet};
 use crate::scenario::{HighRoute, Scenario};
 use crate::shard::ShardState;
-use crate::world::{merge_mark, LiveWorld, RunOptions, Scaffold};
+use crate::world::{LiveWorld, RunOptions, Scaffold};
 use bcp_core::receiver::{BcpReceiver, ReceiverSnapshot};
 use bcp_core::sender::{BcpSender, SenderSnapshot};
 use bcp_mac::csma::{CsmaMac, MacConfig, MacSnapshot};
@@ -60,8 +62,9 @@ use bcp_traffic::Workload;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+pub use crate::fate::{Fate, FateKey, FateMark, FlowKey};
 pub use crate::routes::Cumulative;
-pub use crate::shard::{ActiveTx, Fate, FateKey, FateMark};
+pub use crate::shard::ActiveTx;
 
 // ---------------------------------------------------------------------
 // The captured state
@@ -211,8 +214,13 @@ pub struct WorldState {
     pub txs: Vec<(u64, ActiveTx)>,
     /// LPL-audible transmissions per duty-cycled node, sorted by node.
     pub lpl_audible: Vec<(u32, Vec<(TxId, SimTime)>)>,
-    /// Per-copy packet fates, reconciled across shards and sorted.
-    pub fates: Vec<(FateKey, FateMark)>,
+    /// Delivered-sequence bitmaps per `(origin, destination)` flow,
+    /// sorted by flow: bit `seq` of a flow is set once the copy with
+    /// that sequence number arrived. The last word of each is non-zero.
+    pub delivered: Vec<(FlowKey, Vec<u64>)>,
+    /// Copies lost somewhere and delivered nowhere yet, each with its
+    /// earliest loss, reconciled across shards and sorted.
+    pub lost: Vec<(FateKey, FateMark)>,
     /// Collisions observed so far (whole-run cumulative total).
     pub collisions: u64,
     /// The merged metric counters (global slice + every shard's).
@@ -302,25 +310,20 @@ pub(crate) fn capture(lw: &LiveWorld) -> WorldState {
         .collect();
 
     // Shard-table unions. Keys are disjoint across shards (each entry
-    // lives at exactly one owner) except the fates, which reconcile
-    // through the same semilattice the finaliser uses.
+    // lives at exactly one owner) except the losses, which reconcile by
+    // the rules the finaliser uses.
     let mut payloads: Vec<(u64, Payload)> = Vec::new();
     let mut txs: Vec<(u64, ActiveTx)> = Vec::new();
     let mut lpl_audible: Vec<(u32, Vec<(TxId, SimTime)>)> = Vec::new();
-    let mut fates_map: HashMap<FateKey, FateMark> = HashMap::new();
     for (s, _) in &lw.shards {
         payloads.extend(s.payloads.iter().map(|(&k, v)| (k, v.clone())));
         txs.extend(s.txs.iter().map(|(&k, v)| (k, v.clone())));
         lpl_audible.extend(s.lpl_audible.iter().map(|(&k, v)| (k, v.clone())));
-        for (&k, &m) in &s.fates {
-            merge_mark(&mut fates_map, k, m);
-        }
     }
     payloads.sort_by_key(|e| e.0);
     txs.sort_by_key(|e| e.0);
     lpl_audible.sort_by_key(|e| e.0);
-    let mut fates: Vec<(FateKey, FateMark)> = fates_map.into_iter().collect();
-    fates.sort_by_key(|e| e.0);
+    let books: Vec<&FateBook> = lw.shards.iter().map(|(s, _)| &s.fates).collect();
 
     let mut metrics = lw.control.metrics.clone();
     for (s, _) in &lw.shards {
@@ -339,7 +342,8 @@ pub(crate) fn capture(lw: &LiveWorld) -> WorldState {
         payloads,
         txs,
         lpl_audible,
-        fates,
+        delivered: delivered_flows(&books),
+        lost: settled_losses(&books),
         collisions: lw
             .shards
             .iter()
@@ -519,9 +523,14 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
         let owner = part.shard_of(NodeId(*node));
         shards[owner].0.lpl_audible.insert(*node, v.clone());
     }
-    for (key, mark) in &state.fates {
+    // Fates live at the copy's destination, where its deliveries happen.
+    for (flow, words) in &state.delivered {
+        let owner = part.shard_of(NodeId(flow.1));
+        shards[owner].0.fates.restore_flow(*flow, words.clone());
+    }
+    for (key, mark) in &state.lost {
         let owner = part.shard_of(NodeId(key.1));
-        shards[owner].0.fates.insert(*key, *mark);
+        shards[owner].0.fates.restore_loss(*key, *mark);
     }
 
     // Metrics: the death slice is coordinator-owned; each flow lives at

@@ -18,11 +18,12 @@
 
 use crate::channel::{Channel, ClassPhys, NeighborIndex};
 use crate::events::{Class, Ev, GlobalEv};
+use crate::fate::{settle, FateBook};
 use crate::metrics::{EngineStats, Metrics, RunStats, SeriesSample};
 use crate::node::NodeState;
 use crate::routes::{initial_shared, Control, SeriesScan, SeriesState};
 use crate::scenario::{ModelKind, Scenario};
-use crate::shard::{Fate, FateMark, ShardState};
+use crate::shard::ShardState;
 use bcp_mac::csma::{CsmaMac, MacConfig};
 use bcp_mac::types::MacAddr;
 use bcp_net::addr::AddrMap;
@@ -398,28 +399,19 @@ impl World {
             .map(|s| s.chans[0].collisions() + s.chans[1].collisions())
             .sum();
 
-        // Reconcile per-copy fates across shards: delivery beats loss,
+        // Settle the per-copy fates across shards: delivery beats loss,
         // the earliest loss observation (by event key) beats later ones —
-        // exactly the single-map rules of a sequential run.
-        let mut fates: HashMap<crate::shard::FateKey, FateMark> = HashMap::new();
-        for s in &shards {
-            for (&id, &mark) in &s.fates {
-                merge_mark(&mut fates, id, mark);
-            }
-        }
-        let mut delivered = 0u64;
-        for m in fates.values() {
-            match m.fate {
-                Fate::Delivered => delivered += 1,
-                Fate::LostMac => metrics.drops_mac += 1,
-                Fate::LostBuffer => metrics.drops_buffer += 1,
-                Fate::Pending => metrics.residual_packets += 1,
-            }
-        }
+        // exactly the single-map rules of a sequential run — and whatever
+        // was never observed is still buffered or in flight.
+        let books: Vec<&FateBook> = shards.iter().map(|s| &s.fates).collect();
+        let settled = settle(&books, metrics.generated_packets);
         assert_eq!(
-            delivered, metrics.delivered_packets,
-            "fate map and delivery counter disagree"
+            settled.delivered, metrics.delivered_packets,
+            "delivery bitmaps and delivery counter disagree"
         );
+        metrics.drops_mac = settled.drops_mac;
+        metrics.drops_buffer = settled.drops_buffer;
+        metrics.residual_packets = settled.residual;
 
         // Close every surviving battery against its meters at the horizon
         // (dead nodes were closed at the instant of death); walk nodes in
@@ -655,7 +647,7 @@ impl Scaffold {
             power_timers: HashMap::new(),
             lpl_timers: HashMap::new(),
             lpl_audible: HashMap::new(),
-            fates: HashMap::new(),
+            fates: FateBook::default(),
             flow_dest: Arc::clone(&self.flow_dest),
             metrics: Metrics::default(),
             death_latency: self.death_latency,
@@ -933,35 +925,6 @@ impl LiveWorld {
             stats,
             trace,
             series,
-        }
-    }
-}
-
-pub(crate) fn merge_mark(
-    map: &mut HashMap<crate::shard::FateKey, FateMark>,
-    id: crate::shard::FateKey,
-    new: FateMark,
-) {
-    use std::collections::hash_map::Entry;
-    match map.entry(id) {
-        Entry::Vacant(e) => {
-            e.insert(new);
-        }
-        Entry::Occupied(mut e) => {
-            let cur = *e.get();
-            let replace = match (cur.fate, new.fate) {
-                (Fate::Delivered, Fate::Delivered) => {
-                    unreachable!("duplicate delivery of one copy across shards")
-                }
-                (Fate::Delivered, _) => false,
-                (_, Fate::Delivered) => true,
-                (Fate::Pending, _) => true,
-                (_, Fate::Pending) => false,
-                _ => new.key < cur.key,
-            };
-            if replace {
-                e.insert(new);
-            }
         }
     }
 }
@@ -1485,58 +1448,6 @@ mod tests {
                 "duty cycling must extend life: {t} vs {t_always}"
             ),
         }
-    }
-
-    #[test]
-    fn fate_merge_is_permutation_invariant() {
-        use crate::shard::{Fate, FateMark};
-        use bcp_sim::keyed::EvKey;
-        // Per-shard fate observations must reconcile to the same verdict
-        // regardless of the order shards are folded in: delivery beats
-        // loss, the earliest loss (by event key) beats later ones, and
-        // Pending never survives a real observation.
-        let key = |t: u64| EvKey {
-            time: bcp_sim::time::SimTime::from_nanos(t),
-            depth: 0,
-            ord: t as u128,
-        };
-        let mark = |fate, t| FateMark { fate, key: key(t) };
-        // Three copies with conflicting observations spread over shards.
-        let shard_a: Vec<((u64, u32), FateMark)> = vec![
-            ((1, 0), mark(Fate::Pending, 1)),
-            ((2, 0), mark(Fate::LostMac, 50)),
-            ((3, 7), mark(Fate::Delivered, 80)),
-        ];
-        let shard_b = vec![
-            ((1, 0), mark(Fate::Delivered, 90)),
-            ((2, 0), mark(Fate::LostBuffer, 20)),
-            ((3, 7), mark(Fate::LostMac, 10)),
-        ];
-        let shard_c = vec![
-            ((2, 0), mark(Fate::LostMac, 35)),
-            ((3, 7), mark(Fate::Pending, 2)),
-        ];
-        let shards = [shard_a, shard_b, shard_c];
-        let fold = |order: &[usize]| {
-            let mut map: HashMap<(u64, u32), FateMark> = HashMap::new();
-            for &i in order {
-                for &(id, m) in &shards[i] {
-                    merge_mark(&mut map, id, m);
-                }
-            }
-            let mut out: Vec<((u64, u32), Fate, EvKey)> =
-                map.into_iter().map(|(id, m)| (id, m.fate, m.key)).collect();
-            out.sort();
-            out
-        };
-        let canonical = fold(&[0, 1, 2]);
-        for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
-            assert_eq!(fold(&order), canonical, "order {order:?}");
-        }
-        // The verdicts themselves are the sequential-run rules.
-        assert_eq!(canonical[0].1, Fate::Delivered, "delivery beats pending");
-        assert_eq!(canonical[1].1, Fate::LostBuffer, "earliest loss wins");
-        assert_eq!(canonical[2].1, Fate::Delivered, "delivery beats loss");
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "BCPSNAP1"
-//! 8       4     format version, little-endian u32 (currently 3)
-//! 12      n     payload: the encoded WorldState, then (v2+) the RunMeta
+//! 8       4     format version, little-endian u32 (currently 4)
+//! 12      n     payload: the encoded WorldState, then the RunMeta
 //! 12+n    8     FNV-1a-64 checksum of the payload, little-endian
 //! ```
 //!
-//! The payload encodes integers as LEB128 varints, floats as their IEEE
-//! bit patterns, and the scenario as its canonical `.scn` text (see
+//! The payload encodes integers as LEB128 varints, floats and the words
+//! of the delivery bitmaps as fixed eight-byte fields, and the scenario
+//! as its canonical `.scn` text (see
 //! `bcp_simnet::spec`) — so a checkpoint is self-describing: loading one
 //! needs no side-channel scenario file. Since version 2 the payload ends
 //! with a [`RunMeta`] trailer recording the run settings the world state
@@ -26,10 +27,11 @@
 //! # Version policy
 //!
 //! The version number covers the *payload encoding*. Readers accept
-//! every version they know (currently only 3 — version 3 split the
+//! every version they know (currently only 4 — version 3 split the
 //! loss model out of the channel slots into per-node [`LossState`] and
-//! added received-power audibility and shadowing, changing the slot
-//! layout) and reject the rest with
+//! added received-power audibility and shadowing; version 4 replaced
+//! the per-copy fate list with per-flow delivered-sequence bitmaps plus
+//! the unsettled losses) and reject the rest with
 //! [`SnapshotError::UnsupportedVersion`] — there is no silent best-effort
 //! decoding. Any change to the encoded layout (new fields, reordered
 //! fields, changed varint widths) bumps the version; old checkpoints are
@@ -77,9 +79,9 @@ pub use bcp_simnet::snapshot::{explore, ExploreLimits, ExploreReport};
 /// The file magic.
 pub const MAGIC: [u8; 8] = *b"BCPSNAP1";
 /// The current payload format version.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 /// The oldest payload format version this reader still accepts.
-pub const MIN_VERSION: u32 = 3;
+pub const MIN_VERSION: u32 = 4;
 
 pub mod cache;
 
@@ -187,9 +189,9 @@ pub struct RunMeta {
 }
 
 impl RunMeta {
-    /// The meta a v1 checkpoint (which never recorded one) implies: the
-    /// series interval is recoverable from the captured sampler state,
-    /// the trace settings are unknown and default to off.
+    /// The meta a world state implies on its own: the series interval is
+    /// recoverable from the captured sampler state, the trace settings
+    /// are unknown and default to off.
     pub fn derived_from(state: &WorldState) -> RunMeta {
         RunMeta {
             series_every: state.series.as_ref().map(|s| s.every),
@@ -259,8 +261,7 @@ pub fn from_bytes(bytes: &[u8]) -> Res<WorldState> {
 
 /// Parses a checkpoint frame back into a snapshot plus the run settings
 /// it was recorded under, verifying magic, version and checksum before
-/// decoding. A v1 frame (no meta trailer) yields
-/// [`RunMeta::derived_from`] the decoded state.
+/// decoding.
 pub fn from_bytes_with_meta(bytes: &[u8]) -> Res<(WorldState, RunMeta)> {
     if bytes.len() < 12 || bytes[..8] != MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -282,11 +283,7 @@ pub fn from_bytes_with_meta(bytes: &[u8]) -> Res<(WorldState, RunMeta)> {
         pos: 0,
     };
     let state = dec_world(&mut d)?;
-    let meta = if version >= 2 {
-        dec_meta(&mut d)?
-    } else {
-        RunMeta::derived_from(&state)
-    };
+    let meta = dec_meta(&mut d)?;
     if d.pos != d.buf.len() {
         return Err(bad(format!(
             "{} trailing bytes after the world state",
@@ -367,8 +364,13 @@ impl Enc {
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
+    /// Eight little-endian bytes: for bit patterns, which varints would
+    /// stretch to ten.
+    fn fixed64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
     fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        self.fixed64(v.to_bits());
     }
     fn str(&mut self, s: &str) {
         self.usize(s.len());
@@ -446,13 +448,16 @@ impl Dec<'_> {
     fn usize(&mut self) -> Res<usize> {
         usize::try_from(self.u64()?).map_err(|_| bad("usize out of range"))
     }
-    fn f64(&mut self) -> Res<f64> {
+    fn fixed64(&mut self) -> Res<u64> {
         if self.pos + 8 > self.buf.len() {
-            return Err(bad("unexpected end of payload in f64"));
+            return Err(bad("unexpected end of payload in a fixed 64-bit field"));
         }
         let bits = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().expect("8"));
         self.pos += 8;
-        Ok(f64::from_bits(bits))
+        Ok(bits)
+    }
+    fn f64(&mut self) -> Res<f64> {
+        Ok(f64::from_bits(self.fixed64()?))
     }
     fn str(&mut self) -> Res<String> {
         let n = self.usize()?;
@@ -1470,21 +1475,17 @@ fn dec_node_snap(d: &mut Dec) -> Res<NodeSnapshot> {
     })
 }
 
-fn enc_fate(e: &mut Enc, f: Fate) {
+fn enc_loss(e: &mut Enc, f: Fate) {
     e.u8(match f {
-        Fate::Pending => 0,
-        Fate::Delivered => 1,
-        Fate::LostMac => 2,
-        Fate::LostBuffer => 3,
+        Fate::LostMac => 0,
+        Fate::LostBuffer => 1,
     });
 }
-fn dec_fate(d: &mut Dec) -> Res<Fate> {
+fn dec_loss(d: &mut Dec) -> Res<Fate> {
     match d.u8()? {
-        0 => Ok(Fate::Pending),
-        1 => Ok(Fate::Delivered),
-        2 => Ok(Fate::LostMac),
-        3 => Ok(Fate::LostBuffer),
-        b => Err(bad(format!("invalid fate tag {b}"))),
+        0 => Ok(Fate::LostMac),
+        1 => Ok(Fate::LostBuffer),
+        b => Err(bad(format!("invalid loss tag {b}"))),
     }
 }
 
@@ -1528,11 +1529,20 @@ fn enc_world(e: &mut Enc, w: &WorldState, spec_text: &str) {
             enc_time(e, *until);
         }
     }
-    e.len(w.fates.len());
-    for ((pkt, dst), mark) in &w.fates {
+    e.len(w.delivered.len());
+    for ((origin, dst), words) in &w.delivered {
+        e.u32(*origin);
+        e.u32(*dst);
+        e.len(words.len());
+        for &word in words {
+            e.fixed64(word);
+        }
+    }
+    e.len(w.lost.len());
+    for ((pkt, dst), mark) in &w.lost {
         e.u64(*pkt);
         e.u32(*dst);
-        enc_fate(e, mark.fate);
+        enc_loss(e, mark.fate);
         enc_key(e, mark.key);
     }
     e.u64(w.collisions);
@@ -1591,11 +1601,19 @@ fn dec_world(d: &mut Dec) -> Res<WorldState> {
         ))
     })?;
     let lpl_audible = d.seq(|d| Ok((d.u32()?, d.seq(|d| Ok((TxId(d.u64()?), dec_time(d)?)))?)))?;
-    let fates = d.seq(|d| {
+    let delivered = d.seq(|d| {
+        let flow = (d.u32()?, d.u32()?);
+        let words = d.seq(|d| d.fixed64())?;
+        if words.last().is_some_and(|&w| w == 0) {
+            return Err(bad(format!("flow {flow:?} bitmap ends in a zero word")));
+        }
+        Ok((flow, words))
+    })?;
+    let lost = d.seq(|d| {
         Ok((
             (d.u64()?, d.u32()?),
             FateMark {
-                fate: dec_fate(d)?,
+                fate: dec_loss(d)?,
                 key: dec_key(d)?,
             },
         ))
@@ -1650,7 +1668,8 @@ fn dec_world(d: &mut Dec) -> Res<WorldState> {
         payloads,
         txs,
         lpl_audible,
-        fates,
+        delivered,
+        lost,
         collisions,
         metrics,
         low_routes,
@@ -1802,12 +1821,13 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_frames_are_explicitly_unreadable() {
+    fn pre_v4_frames_are_explicitly_unreadable() {
         // Version 3 changed the channel-slot layout (loss-state split,
-        // audibility, shadowing); older frames must be rejected with a
-        // typed version error, never best-effort decoded.
+        // audibility, shadowing) and version 4 the fate section (per-flow
+        // delivery bitmaps); older frames must be rejected with a typed
+        // version error, never best-effort decoded.
         let bytes = to_bytes(&snapshot_at(&dual_scenario(), 5)).expect("encodes");
-        for old in [1u32, 2] {
+        for old in [1u32, 2, 3] {
             let mut v = bytes.clone();
             v[8..12].copy_from_slice(&old.to_le_bytes());
             assert!(
@@ -1818,6 +1838,20 @@ mod tests {
                 "version {old} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn fate_section_rejects_non_canonical_bitmaps() {
+        // The checksum only proves the writer's bytes arrived intact; a
+        // crafted frame with a zero-padded delivery bitmap must still be
+        // a typed error, not a silently non-canonical world.
+        let mut snap = snapshot_at(&dual_scenario(), 30);
+        assert!(!snap.delivered.is_empty(), "the run delivered by 30 s");
+        snap.delivered[0].1.push(0);
+        assert!(matches!(
+            from_bytes(&to_bytes(&snap).expect("encodes")),
+            Err(SnapshotError::Decode(_))
+        ));
     }
 
     #[test]
