@@ -764,7 +764,7 @@ mod tests {
         }
 
         /// Fires timers until the MAC starts a transmission (or gives up).
-        fn run_until_tx(&mut self) -> MacFrame {
+        fn step_until_tx(&mut self) -> MacFrame {
             let before = self.tx.len();
             for _ in 0..100 {
                 if self.tx.len() > before {
@@ -802,7 +802,7 @@ mod tests {
         let mut h = dot11_harness(2);
         let f = h.mac.make_data(MacAddr(2), 1024, 42);
         h.event(MacEvent::Enqueue(f));
-        let sent = h.run_until_tx();
+        let sent = h.step_until_tx();
         h.event(MacEvent::TxFinished);
         // ACK from the peer echoing src/seq.
         h.event(MacEvent::RxFrame(MacFrame {
@@ -826,7 +826,7 @@ mod tests {
         h.event(MacEvent::Enqueue(f));
         let max = h.mac.config().max_attempts;
         for _ in 0..max {
-            h.run_until_tx();
+            h.step_until_tx();
             h.event(MacEvent::TxFinished);
             // Let the AckTimeout fire (never deliver an ACK).
             while h.outcomes.is_empty() {
@@ -895,7 +895,7 @@ mod tests {
         let mut h = dot11_harness(6);
         let f = h.mac.make_data(MacAddr::BROADCAST, 100, 0);
         h.event(MacEvent::Enqueue(f));
-        h.run_until_tx();
+        h.step_until_tx();
         h.event(MacEvent::TxFinished);
         assert_eq!(h.outcomes, vec![(f.id, true, 1)]);
     }
@@ -933,7 +933,7 @@ mod tests {
         h.event(MacEvent::Carrier(false));
         assert!(h.timers.iter().any(|(k, _)| *k == MacTimer::Difs));
         // Eventually transmits.
-        h.run_until_tx();
+        h.step_until_tx();
     }
 
     #[test]
@@ -972,7 +972,7 @@ mod tests {
         let b = h.mac.make_data(MacAddr(2), 100, 0);
         h.event(MacEvent::Enqueue(a));
         h.event(MacEvent::Enqueue(b));
-        let sent = h.run_until_tx();
+        let sent = h.step_until_tx();
         h.event(MacEvent::TxFinished);
         h.event(MacEvent::RxFrame(MacFrame {
             id: FrameId(u64::MAX),
@@ -986,7 +986,7 @@ mod tests {
         // Next access must include DIFS and then (usually) backoff slots —
         // never an instant transmission at the very same instant.
         let t_before = h.now;
-        h.run_until_tx();
+        h.step_until_tx();
         assert!(h.now >= t_before + h.mac.config().difs);
     }
 

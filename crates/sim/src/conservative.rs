@@ -117,7 +117,7 @@ pub trait PdesControl<S: PdesShard> {
         out: &mut Vec<(SimTime, S::Global)>,
     );
 
-    /// Observation hook fired by [`run_conservative_sampled`] at each
+    /// Observation hook fired by [`run_conservative`] at each
     /// sample instant, with every event strictly before `now` already
     /// processed (so shard state is exact at `now`). `queue_depths[i]` is
     /// shard `i`'s pending live-event count. Purely observational: the
@@ -592,80 +592,28 @@ fn batch_party<S: PdesShard>(
 /// derived from `lookahead` (anything convertible into a [`Lookahead`] —
 /// an `Option<SimDuration>` gives the classic scalar/unbounded split).
 ///
+/// `gqueue` is the coordinator's queue of global events: schedule fresh
+/// globals into it with [`ShardQueue::schedule`]. A resumed run passes the
+/// queue its snapshot restored under exact `(time, depth, ord)` keys (via
+/// [`ShardQueue::schedule_with_key`]); re-scheduling would flatten those
+/// to depth 0 and thereby reorder same-instant globals.
+///
 /// `threads` is the worker-pool size (clamped to the shard count); pass
 /// [`crate::threads::worker_count`]`(shards.len())` to honour
 /// `BCP_THREADS`. Results are bit-identical for every `threads` value.
 ///
+/// When `sample_every` is set, the coordinator fires
+/// [`PdesControl::on_sample`] at every multiple of the interval (from
+/// `t = sample_every` up to the last instant with pending work), clamping
+/// window horizons so each sample sees shard state exact at its instant.
+/// Sampling changes window *partitioning* only — which the engine
+/// contract guarantees is physics-neutral — never event order or results.
+///
 /// # Panics
 ///
-/// Panics if `shards` is empty or a zero lookahead is supplied.
+/// Panics if `shards` is empty, a zero lookahead is supplied, or
+/// `sample_every` is zero.
 pub fn run_conservative<S, C>(
-    shards: Vec<(S, ShardQueue<S::Ev>)>,
-    globals: Vec<(SimTime, S::Global)>,
-    control: &mut C,
-    lookahead: impl Into<Lookahead>,
-    end: SimTime,
-    threads: usize,
-) -> Outcome<S>
-where
-    S: PdesShard,
-    C: PdesControl<S>,
-{
-    run_conservative_sampled(shards, globals, control, lookahead, end, threads, None)
-}
-
-/// [`run_conservative`] plus periodic observation: when `sample_every` is
-/// set, the coordinator fires [`PdesControl::on_sample`] at every multiple
-/// of the interval (from `t = sample_every` up to the last instant with
-/// pending work), clamping window horizons so each sample sees shard state
-/// exact at its instant. Sampling changes window *partitioning* only —
-/// which the engine contract guarantees is physics-neutral — never event
-/// order or results.
-///
-/// # Panics
-///
-/// Panics if `shards` is empty, a zero lookahead is supplied, or
-/// `sample_every` is zero.
-pub fn run_conservative_sampled<S, C>(
-    shards: Vec<(S, ShardQueue<S::Ev>)>,
-    globals: Vec<(SimTime, S::Global)>,
-    control: &mut C,
-    lookahead: impl Into<Lookahead>,
-    end: SimTime,
-    threads: usize,
-    sample_every: Option<SimDuration>,
-) -> Outcome<S>
-where
-    S: PdesShard,
-    C: PdesControl<S>,
-{
-    let mut gqueue: ShardQueue<S::Global> = ShardQueue::new();
-    for (t, g) in globals {
-        gqueue.schedule(t, g);
-    }
-    run_conservative_keyed(
-        shards,
-        gqueue,
-        control,
-        lookahead,
-        end,
-        threads,
-        sample_every,
-    )
-}
-
-/// [`run_conservative_sampled`] with the coordinator's global queue passed
-/// in whole instead of as `(time, event)` pairs. This is the resume entry
-/// point: a snapshot restores pending globals under their exact
-/// `(time, depth, ord)` keys (via [`ShardQueue::schedule_with_key`]), which
-/// plain re-scheduling would flatten to depth 0 and thereby reorder
-/// same-instant globals.
-///
-/// # Panics
-///
-/// Panics if `shards` is empty, a zero lookahead is supplied, or
-/// `sample_every` is zero.
-pub fn run_conservative_keyed<S, C>(
     shards: Vec<(S, ShardQueue<S::Ev>)>,
     mut gqueue: ShardQueue<S::Global>,
     control: &mut C,
@@ -1353,6 +1301,7 @@ mod tests {
         n: u32,
         k: usize,
         threads: usize,
+        la: impl Into<Lookahead>,
         sample_every: Option<SimDuration>,
     ) -> SampledRun {
         let end = SimTime::from_millis(20);
@@ -1381,11 +1330,13 @@ mod tests {
             every: SimDuration::from_millis(3),
             end,
         };
-        let out = run_conservative_sampled(
+        let mut globals = ShardQueue::new();
+        globals.schedule(SimTime::from_millis(3), Digest);
+        let out = run_conservative(
             shards,
-            vec![(SimTime::from_millis(3), Digest)],
+            globals,
             &mut control,
-            Some(LOOKAHEAD),
+            la,
             end,
             threads,
             sample_every,
@@ -1408,7 +1359,7 @@ mod tests {
     }
 
     fn run(n: u32, k: usize, threads: usize) -> (Vec<u64>, Vec<u64>, u64) {
-        let (cells, log, processed, _, _) = run_sampled(n, k, threads, None);
+        let (cells, log, processed, _, _) = run_sampled(n, k, threads, Some(LOOKAHEAD), None);
         (cells, log, processed)
     }
 
@@ -1486,11 +1437,12 @@ mod tests {
             .collect();
         let out = run_conservative(
             shards,
-            Vec::new(),
+            ShardQueue::new(),
             &mut NoControl,
             None,
             SimTime::from_secs(1),
             2,
+            None,
         );
         assert_eq!(out.processed, 3 * 101);
         for s in &out.shards {
@@ -1510,7 +1462,8 @@ mod tests {
         let every = SimDuration::from_millis(2);
         let (c_off, l_off, p_off) = run(12, 3, 1);
         for (k, threads) in [(1, 1), (3, 1), (3, 4)] {
-            let (c_on, l_on, p_on, samples, _) = run_sampled(12, k, threads, Some(every));
+            let (c_on, l_on, p_on, samples, _) =
+                run_sampled(12, k, threads, Some(LOOKAHEAD), Some(every));
             assert_eq!(c_off, c_on, "sampling perturbed state at k={k}");
             assert_eq!(l_off, l_on, "sampling perturbed digests at k={k}");
             assert_eq!(p_off, p_on, "sampling perturbed event count at k={k}");
@@ -1521,7 +1474,7 @@ mod tests {
     #[test]
     fn samples_are_shard_and_thread_invariant() {
         let every = SimDuration::from_millis(2);
-        let (_, _, _, s1, _) = run_sampled(12, 1, 1, Some(every));
+        let (_, _, _, s1, _) = run_sampled(12, 1, 1, Some(LOOKAHEAD), Some(every));
         // State digests and fire instants agree everywhere; only the
         // per-shard queue split (summed here) is partition-dependent, so
         // compare instants + digests.
@@ -1529,64 +1482,10 @@ mod tests {
         assert!(!base.is_empty());
         assert!(base.windows(2).all(|w| w[1].0 - w[0].0 == every));
         for (k, threads) in [(2, 1), (4, 1), (4, 4)] {
-            let (_, _, _, sk, _) = run_sampled(12, k, threads, Some(every));
+            let (_, _, _, sk, _) = run_sampled(12, k, threads, Some(LOOKAHEAD), Some(every));
             let got: Vec<(SimTime, u64)> = sk.iter().map(|&(t, d, _)| (t, d)).collect();
             assert_eq!(base, got, "samples diverged at k={k} threads={threads}");
         }
-    }
-
-    /// Like `run_sampled` but with an explicit [`Lookahead`] (the model
-    /// sends only to the ring-successor's shard, so any matrix whose
-    /// pair bounds are >= LOOKAHEAD on those pairs is sound).
-    fn run_with_lookahead(
-        n: u32,
-        k: usize,
-        threads: usize,
-        la: Lookahead,
-    ) -> (Vec<u64>, Vec<u64>, u64) {
-        let end = SimTime::from_millis(20);
-        let mut shards = Vec::new();
-        for shard in 0..k {
-            let mut cells = Cells {
-                n,
-                k,
-                state: vec![None; n as usize],
-            };
-            let mut q = ShardQueue::new();
-            for cell in 0..n {
-                if cells.owner(cell) == shard {
-                    cells.state[cell as usize] = Some(cell as u64 + 1);
-                    q.schedule(
-                        SimTime::from_micros(10 + cell as u64 * 7),
-                        Bump { cell, round: 0 },
-                    );
-                }
-            }
-            shards.push((cells, q));
-        }
-        let mut control = DigestLog {
-            log: Vec::new(),
-            samples: Vec::new(),
-            every: SimDuration::from_millis(3),
-            end,
-        };
-        let out = run_conservative(
-            shards,
-            vec![(SimTime::from_millis(3), Digest)],
-            &mut control,
-            la,
-            end,
-            threads,
-        );
-        let mut cells = vec![0u64; n as usize];
-        for s in &out.shards {
-            for (i, v) in s.state.iter().enumerate() {
-                if let Some(v) = v {
-                    cells[i] = *v;
-                }
-            }
-        }
-        (cells, control.log, out.processed)
     }
 
     #[test]
@@ -1617,7 +1516,7 @@ mod tests {
                 pairs: pairs.clone(),
                 global: None,
             };
-            let (c, l, p) = run_with_lookahead(12, k, threads, la);
+            let (c, l, p, _, _) = run_sampled(12, k, threads, la, None);
             assert_eq!(c_ref, c, "matrix lookahead diverged at threads={threads}");
             assert_eq!(l_ref, l, "digests diverged at threads={threads}");
             assert_eq!(p_ref, p, "event counts diverged at threads={threads}");
@@ -1629,7 +1528,7 @@ mod tests {
         // The toy model reschedules within microseconds, so rounds batch
         // many sub-windows: windows must clearly exceed synchronization
         // points (the whole point of the batched exchange).
-        let (_, _, _, _, c) = run_sampled(12, 3, 1, None);
+        let (_, _, _, _, c) = run_sampled(12, 3, 1, Some(LOOKAHEAD), None);
         assert!(c.barriers > 0, "barriers counted");
         // barriers = windows + rounds; the unbatched engine would pay
         // (at least) one sync round per window, i.e. barriers = 2*windows.
@@ -1644,8 +1543,8 @@ mod tests {
 
     #[test]
     fn counters_are_thread_invariant() {
-        let (_, _, _, _, c1) = run_sampled(12, 4, 1, None);
-        let (_, _, _, _, c4) = run_sampled(12, 4, 4, None);
+        let (_, _, _, _, c1) = run_sampled(12, 4, 1, Some(LOOKAHEAD), None);
+        let (_, _, _, _, c4) = run_sampled(12, 4, 4, Some(LOOKAHEAD), None);
         assert_eq!(c1.windows, c4.windows, "windows must not depend on threads");
         assert_eq!(
             c1.barriers, c4.barriers,
@@ -1657,7 +1556,7 @@ mod tests {
 
     #[test]
     fn counters_track_windows_and_queues() {
-        let (_, _, processed, _, c) = run_sampled(12, 3, 1, None);
+        let (_, _, processed, _, c) = run_sampled(12, 3, 1, Some(LOOKAHEAD), None);
         assert!(c.windows > 0, "windows counted");
         assert!(c.serial_steps >= 6, "one per digest global at least");
         assert!(c.window_width_s_sum > 0.0);
@@ -1714,11 +1613,12 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_conservative(
                 shards,
-                Vec::new(),
+                ShardQueue::new(),
                 &mut NoC,
                 Some(SimDuration::from_micros(10)),
                 SimTime::from_secs(1),
                 2,
+                None,
             )
         }));
         assert!(result.is_err(), "panic must propagate, not deadlock");

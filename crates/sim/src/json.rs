@@ -115,12 +115,20 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the bound keeps a hostile line from overflowing the stack;
+/// the workspace's own documents nest fewer than 10 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (the reverse of this module's emitters, used by
-/// round-trip tests and the NDJSON tooling). Rejects trailing garbage.
+/// round-trip tests and the NDJSON tooling). Rejects trailing garbage and
+/// nesting deeper than 128 levels.
 pub fn parse(s: &str) -> Result<Value, String> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -132,8 +140,11 @@ pub fn parse(s: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -175,8 +186,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -237,13 +262,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("nonempty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // and multi-byte sequences pass through unchanged.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -354,6 +381,37 @@ mod tests {
         let arr = v.get("k").unwrap().as_arr().unwrap();
         assert_eq!(arr[0].as_f64(), Some(-1500.0));
         assert_eq!(arr[1].as_str(), Some("A\t"));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Unbounded recursion would overflow a default-sized thread stack
+        // and abort the whole process here.
+        let hostile = "[".repeat(1 << 20);
+        let verdict = std::thread::spawn(move || parse(&hostile).map(|_| ()))
+            .join()
+            .expect("the parser thread survives");
+        assert!(verdict.unwrap_err().contains("nesting deeper"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let mut text = String::new();
+        while text.len() < 256 * 1024 {
+            text.push_str("ascii ∞ é 😀 \"q\" \\ \n");
+        }
+        let doc = escape(&text);
+        let started = std::time::Instant::now();
+        let back = parse(&doc).unwrap();
+        assert_eq!(back.as_str(), Some(text.as_str()));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "256 KiB string took {elapsed:?}"
+        );
     }
 
     #[test]

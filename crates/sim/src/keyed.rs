@@ -1,11 +1,10 @@
-//! Deterministically-keyed event queues for the sharded engine.
+//! Deterministically-keyed event queues: the one event engine.
 //!
-//! The classic [`EventQueue`](crate::event::EventQueue) breaks timestamp
-//! ties by *insertion sequence*. That is perfectly deterministic for a
-//! single queue, but the insertion sequence is an artifact of execution
-//! interleaving: split the same model across two queues and the per-queue
-//! sequences no longer reconstruct the single-queue order. A sharded run
-//! could then legally diverge from the sequential one.
+//! Breaking timestamp ties by *insertion sequence* alone is deterministic
+//! for a single queue, but the insertion sequence is an artifact of
+//! execution interleaving: split the same model across two queues and the
+//! per-queue sequences no longer reconstruct the single-queue order. A
+//! sharded run could then legally diverge from the sequential one.
 //!
 //! [`ShardQueue`] instead orders events by an [`EvKey`] that is a pure
 //! function of the *model*, not of the execution:
@@ -21,7 +20,10 @@
 //!
 //! Together these form a total order that every shard count replays
 //! identically, which is the foundation of the conservative parallel
-//! runner in [`conservative`](crate::conservative).
+//! runner in [`conservative`](crate::conservative). Insertion sequence is
+//! the last tie-break, so a model that runs on one queue (the two-node
+//! testbed) may give every event the same `ord` and get first-in,
+//! first-out order among same-instant events.
 //!
 //! # Storage: a calendar wheel, not a heap
 //!
@@ -72,10 +74,13 @@ impl EvKey {
 
 /// Events that carry a content-derived tie-break discriminant.
 ///
-/// Two *distinct live* events at the same `(time, depth)` must return
-/// different `ord` values (encode the event kind plus the entities it
-/// concerns); equal values are only acceptable for events whose effects
-/// commute, e.g. the per-shard halves of one broadcast.
+/// In a sharded model, two *distinct live* events at the same
+/// `(time, depth)` must return different `ord` values (encode the event
+/// kind plus the entities it concerns); equal values are only acceptable
+/// for events whose effects commute, e.g. the per-shard halves of one
+/// broadcast. The uniqueness is needed only across shards: a model that
+/// runs on one queue may return a constant, and its ties then fall to
+/// insertion order.
 pub trait Keyed {
     /// The tie-break discriminant. Must depend only on event content.
     fn ord(&self) -> u128;
@@ -765,6 +770,33 @@ mod tests {
         q.schedule(SimTime::from_millis(500), 7u64);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop_min().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![7, 3, 9]);
+    }
+
+    #[test]
+    fn constant_ord_ties_fall_to_insertion_order() {
+        // A single-queue model may key every event alike: same-instant
+        // events then pop first in, first out, and children scheduled at
+        // the instant follow every event already due there.
+        struct Fifo(u32);
+        impl Keyed for Fifo {
+            fn ord(&self) -> u128 {
+                0
+            }
+        }
+        let mut q = ShardQueue::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..50 {
+            q.schedule(t, Fifo(i));
+        }
+        let mut order = Vec::new();
+        while let Some((_, Fifo(i))) = q.pop_min() {
+            if i < 10 {
+                q.schedule(t, Fifo(100 + i));
+            }
+            order.push(i);
+        }
+        let want: Vec<u32> = (0..50).chain(100..110).collect();
+        assert_eq!(order, want);
     }
 
     #[test]

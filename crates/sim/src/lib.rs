@@ -3,13 +3,14 @@
 //! The foundation of the BCP reproduction: a virtual clock with nanosecond
 //! resolution, a totally-ordered event queue, a platform-stable PRNG, and the
 //! statistics collectors the experiment harness needs (Welford mean/variance,
-//! Student-t 95% confidence intervals, histograms, time-weighted averages).
+//! Student-t 95% confidence intervals, figure series).
 //!
 //! Determinism is the design constraint that shapes everything here:
 //!
-//! * event ties are broken by insertion sequence ([`event::EventQueue`])
-//!   for single-queue models, or by a content-derived key
-//!   ([`keyed::ShardQueue`]) for models sharded across cores,
+//! * events pop in `(time, causal depth, content key)` order
+//!   ([`keyed::ShardQueue`]), a total order every shard count replays
+//!   identically; a model on one queue may give every event the same
+//!   key, and its ties then fall to insertion order,
 //! * randomness comes from an in-crate xoshiro256★★ ([`rng::Rng`]) whose
 //!   stream is bit-stable across platforms and releases,
 //! * time is integer nanoseconds ([`time::SimTime`]), so no float drift.
@@ -22,37 +23,34 @@
 //!
 //! # Examples
 //!
-//! A tiny Poisson arrival loop:
+//! A tiny Poisson arrival loop on one queue:
 //!
 //! ```
 //! use bcp_sim::prelude::*;
 //!
-//! #[derive(Default)]
-//! struct Model { arrivals: u32 }
-//! enum Ev { Arrival }
-//!
-//! let mut sched = Scheduler::new();
-//! let mut rng = Rng::new(42);
-//! sched.at(SimTime::ZERO, Ev::Arrival);
-//! let mut model = Model::default();
-//! run_until(&mut model, &mut sched, SimTime::from_secs(60), |m, sched, ev| {
-//!     match ev {
-//!         Ev::Arrival => {
-//!             m.arrivals += 1;
-//!             let gap = SimDuration::from_secs_f64(rng.exponential(1.0));
-//!             sched.after(gap, Ev::Arrival);
-//!         }
+//! struct Arrival;
+//! impl Keyed for Arrival {
+//!     fn ord(&self) -> u128 {
+//!         0
 //!     }
-//! });
-//! assert!(model.arrivals > 30 && model.arrivals < 120);
+//! }
+//!
+//! let mut queue = ShardQueue::new();
+//! let mut rng = Rng::new(42);
+//! queue.schedule(SimTime::ZERO, Arrival);
+//! let mut arrivals = 0u32;
+//! while let Some((key, Arrival)) = queue.pop_due(SimTime::from_secs(60)) {
+//!     arrivals += 1;
+//!     let gap = SimDuration::from_secs_f64(rng.exponential(1.0));
+//!     queue.schedule(key.time + gap, Arrival);
+//! }
+//! assert!(arrivals > 30 && arrivals < 120);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod conservative;
-pub mod engine;
-pub mod event;
 pub mod json;
 pub mod keyed;
 pub mod rng;
@@ -63,15 +61,12 @@ pub mod trace;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::engine::{run_to_quiescence, run_until, Scheduler};
-    pub use crate::event::{EventId, EventQueue};
+    pub use crate::keyed::{Keyed, ShardQueue};
     pub use crate::rng::Rng;
     pub use crate::stats::{mean_ci95, Series, Welford};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::Trace;
 }
 
-pub use engine::Scheduler;
-pub use event::{EventId, EventQueue};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

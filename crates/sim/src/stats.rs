@@ -1,9 +1,7 @@
 //! Statistics collectors used by the experiment harness: streaming
 //! mean/variance (Welford), Student-t 95% confidence intervals (the paper
-//! reports "an average of 20 runs and 95% confidence intervals"), histograms,
-//! and time-weighted averages.
-
-use crate::time::{SimDuration, SimTime};
+//! reports "an average of 20 runs and 95% confidence intervals"), and the
+//! `(x, y, ci)` series every figure is drawn from.
 
 /// Streaming mean and variance via Welford's algorithm.
 ///
@@ -149,163 +147,6 @@ pub fn mean_ci95(samples: &[f64]) -> (f64, f64) {
     (w.mean(), w.ci95_half_width())
 }
 
-/// A fixed-bin-width histogram over `[0, bins · width)` with an overflow bin.
-///
-/// # Examples
-///
-/// ```
-/// use bcp_sim::stats::Histogram;
-///
-/// let mut h = Histogram::new(10, 1.0);
-/// h.record(0.5);
-/// h.record(9.9);
-/// h.record(100.0); // overflow
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bin_count(0), 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bins: Vec<u64>,
-    width: f64,
-    overflow: u64,
-    underflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` bins of width `width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `width` is not strictly positive.
-    pub fn new(bins: usize, width: f64) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(
-            width.is_finite() && width > 0.0,
-            "invalid bin width {width}"
-        );
-        Histogram {
-            bins: vec![0; bins],
-            width,
-            overflow: 0,
-            underflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records a value.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < 0.0 {
-            self.underflow += 1;
-            return;
-        }
-        let idx = (x / self.width) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Values ≥ the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Values < 0.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Approximate p-quantile (0 ≤ p ≤ 1) using bin upper edges; `None` when
-    /// empty or when the quantile lands in the overflow bin.
-    pub fn quantile(&self, p: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = (p.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut cum = self.underflow;
-        for (i, &c) in self.bins.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some((i as f64 + 1.0) * self.width);
-            }
-        }
-        None
-    }
-}
-
-/// Integrates a piecewise-constant signal over time, producing its
-/// time-weighted average (e.g. mean buffer occupancy, mean radio power).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    integral: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts integrating `initial` at time `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            last_value: initial,
-            integral: 0.0,
-            start,
-        }
-    }
-
-    /// Records that the signal changed to `value` at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the previous update.
-    pub fn update(&mut self, t: SimTime, value: f64) {
-        let dt = t.duration_since(self.last_time).as_secs_f64();
-        self.integral += self.last_value * dt;
-        self.last_time = t;
-        self.last_value = value;
-    }
-
-    /// The integral of the signal from start through `t`.
-    pub fn integral_through(&self, t: SimTime) -> f64 {
-        let dt = t.saturating_duration_since(self.last_time).as_secs_f64();
-        self.integral + self.last_value * dt
-    }
-
-    /// Time-weighted mean of the signal from start through `t`.
-    pub fn mean_through(&self, t: SimTime) -> f64 {
-        let span = t.saturating_duration_since(self.start).as_secs_f64();
-        if span == 0.0 {
-            self.last_value
-        } else {
-            self.integral_through(t) / span
-        }
-    }
-
-    /// The current (most recently set) value.
-    pub fn value(&self) -> f64 {
-        self.last_value
-    }
-}
-
 /// A named sequence of `(x, y)` points with optional 95%-CI half-widths —
 /// the unit of "one line in one figure" used by every experiment harness.
 ///
@@ -374,27 +215,6 @@ impl Series {
     }
 }
 
-/// Per-run duration accumulator: handy for summing airtime, idle time, etc.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurationSum(SimDuration);
-
-impl DurationSum {
-    /// Creates a zero accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a span (saturating).
-    pub fn add(&mut self, d: SimDuration) {
-        self.0 = self.0.saturating_add(d);
-    }
-
-    /// Total accumulated span.
-    pub fn total(&self) -> SimDuration {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,42 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_quantiles() {
-        let mut h = Histogram::new(10, 1.0);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        assert_eq!(h.count(), 10);
-        for i in 0..10 {
-            assert_eq!(h.bin_count(i), 1);
-        }
-        assert_eq!(h.quantile(0.5), Some(5.0));
-        assert_eq!(h.quantile(1.0), Some(10.0));
-    }
-
-    #[test]
-    fn histogram_under_overflow() {
-        let mut h = Histogram::new(2, 1.0);
-        h.record(-1.0);
-        h.record(5.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.update(SimTime::from_secs(10), 100.0); // 0 for 10 s
-        tw.update(SimTime::from_secs(20), 0.0); // 100 for 10 s
-        let mean = tw.mean_through(SimTime::from_secs(20));
-        assert!((mean - 50.0).abs() < 1e-9);
-        // Continue at value 0 for another 20 s: mean drops to 25.
-        let mean = tw.mean_through(SimTime::from_secs(40));
-        assert!((mean - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn series_basics() {
         let mut s = Series::new("line");
         assert!(s.is_empty());
@@ -496,13 +280,5 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.y_at(3.0), Some(4.0));
         assert_eq!(s.y_at(9.0), None);
-    }
-
-    #[test]
-    fn duration_sum() {
-        let mut s = DurationSum::new();
-        s.add(SimDuration::from_millis(1));
-        s.add(SimDuration::from_millis(2));
-        assert_eq!(s.total(), SimDuration::from_millis(3));
     }
 }

@@ -16,8 +16,7 @@
 use crate::keyed::EvKey;
 use crate::time::SimTime;
 
-/// An append-only timestamped log of `T` records with an optional capacity
-/// cap (oldest records are dropped first when capped).
+/// An append-only timestamped log of `T` records.
 ///
 /// # Examples
 ///
@@ -25,7 +24,7 @@ use crate::time::SimTime;
 /// use bcp_sim::trace::Trace;
 /// use bcp_sim::time::SimTime;
 ///
-/// let mut t = Trace::unbounded();
+/// let mut t = Trace::new();
 /// t.record(SimTime::from_secs(1), "radio on");
 /// t.record(SimTime::from_secs(2), "radio off");
 /// assert_eq!(t.len(), 2);
@@ -33,86 +32,47 @@ use crate::time::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Trace<T> {
-    records: std::collections::VecDeque<(SimTime, T)>,
-    cap: Option<usize>,
-    dropped: u64,
+    records: Vec<(SimTime, T)>,
 }
 
 impl<T> Default for Trace<T> {
     fn default() -> Self {
-        Self::unbounded()
+        Self::new()
     }
 }
 
 impl<T> Trace<T> {
-    /// Creates a trace that keeps every record.
-    pub fn unbounded() -> Self {
+    /// Creates an empty trace.
+    pub fn new() -> Self {
         Trace {
-            records: std::collections::VecDeque::new(),
-            cap: None,
-            dropped: 0,
-        }
-    }
-
-    /// Creates a trace that keeps at most `cap` most-recent records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn with_capacity_cap(cap: usize) -> Self {
-        assert!(cap > 0, "trace capacity must be positive");
-        Trace {
-            records: std::collections::VecDeque::with_capacity(cap),
-            cap: Some(cap),
-            dropped: 0,
+            records: Vec::new(),
         }
     }
 
     /// Appends a record at time `t`.
     pub fn record(&mut self, t: SimTime, value: T) {
-        if let Some(cap) = self.cap {
-            if self.records.len() == cap {
-                self.records.pop_front();
-                self.dropped += 1;
-            }
-        }
-        self.records.push_back((t, value));
+        self.records.push((t, value));
     }
 
-    /// Number of retained records.
+    /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// `true` when nothing has been retained.
+    /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
-    /// Number of records evicted by the capacity cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Iterates over retained records in chronological order.
+    /// Iterates over records in chronological order.
     pub fn iter(&self) -> impl Iterator<Item = (&SimTime, &T)> {
         self.records.iter().map(|(t, v)| (t, v))
-    }
-
-    /// Consumes the trace, yielding records in chronological order.
-    pub fn into_records(self) -> impl Iterator<Item = (SimTime, T)> {
-        self.records.into_iter()
-    }
-
-    /// Removes all records (the drop counter is retained).
-    pub fn clear(&mut self) {
-        self.records.clear();
     }
 }
 
 impl<'a, T> IntoIterator for &'a Trace<T> {
     type Item = &'a (SimTime, T);
-    type IntoIter = std::collections::vec_deque::Iter<'a, (SimTime, T)>;
+    type IntoIter = std::slice::Iter<'a, (SimTime, T)>;
     fn into_iter(self) -> Self::IntoIter {
         self.records.iter()
     }
@@ -596,42 +556,12 @@ mod tests {
 
     #[test]
     fn records_in_order() {
-        let mut t = Trace::unbounded();
+        let mut t = Trace::new();
         for i in 0..5u32 {
             t.record(SimTime::from_secs(i as u64), i);
         }
         let vals: Vec<u32> = t.iter().map(|(_, v)| *v).collect();
         assert_eq!(vals, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn capacity_cap_evicts_oldest() {
-        let mut t = Trace::with_capacity_cap(3);
-        for i in 0..5u32 {
-            t.record(SimTime::from_secs(i as u64), i);
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let vals: Vec<u32> = t.iter().map(|(_, v)| *v).collect();
-        assert_eq!(vals, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn clear_keeps_drop_counter() {
-        let mut t = Trace::with_capacity_cap(1);
-        t.record(SimTime::ZERO, 1);
-        t.record(SimTime::ZERO, 2);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 1);
-    }
-
-    #[test]
-    fn into_records_consumes() {
-        let mut t = Trace::unbounded();
-        t.record(SimTime::from_secs(1), "a");
-        let v: Vec<(SimTime, &str)> = t.into_records().collect();
-        assert_eq!(v, vec![(SimTime::from_secs(1), "a")]);
     }
 
     fn key(ns: u64, depth: u32, ord: u128) -> EvKey {

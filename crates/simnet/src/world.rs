@@ -32,7 +32,7 @@ use bcp_net::propagation::{dbm_to_mw, PathLoss, PhysModel, ShadowMap, SHADOW_CLA
 use bcp_power::{BatteryModel, PowerSupply};
 use bcp_radio::device::{Radio, RadioState};
 use bcp_radio::units::Energy;
-use bcp_sim::conservative::{run_conservative_keyed, EngineCounters, Lookahead};
+use bcp_sim::conservative::{run_conservative, EngineCounters, Lookahead};
 use bcp_sim::keyed::ShardQueue;
 use bcp_sim::rng::Rng;
 use bcp_sim::threads::worker_count;
@@ -652,7 +652,7 @@ impl Scaffold {
             metrics: Metrics::default(),
             death_latency: self.death_latency,
             events_logical: 0,
-            rec: trace.then(|| Box::new(Trace::unbounded())),
+            rec: trace.then(|| Box::new(Trace::new())),
         }
     }
 }
@@ -820,7 +820,7 @@ impl LiveWorld {
         } else {
             SimTime::from_nanos(target.as_nanos() - 1)
         };
-        let outcome = run_conservative_keyed(
+        let outcome = run_conservative(
             shards,
             gqueue,
             &mut self.control,
@@ -885,7 +885,11 @@ impl LiveWorld {
         let mut slices: Vec<Vec<TraceRecord>> = shards
             .iter_mut()
             .map(|s| match s.rec.take() {
-                Some(t) => t.into_records().map(|(_, r)| r).collect(),
+                // Copied into a fresh exact-size vector: collecting in place
+                // keeps the trace's wider (time, record) buffer, and over
+                // repeated traced runs in one process that raised peak RSS
+                // by a quarter.
+                Some(t) => t.iter().map(|(_, r)| r.clone()).collect(),
                 None => Vec::new(),
             })
             .collect();

@@ -15,9 +15,7 @@ use bcp_core::receiver::{BcpReceiver, ReceiverAction};
 use bcp_core::sender::{BcpSender, SenderAction};
 use bcp_net::addr::NodeId;
 use bcp_radio::profile::{cc2420, lucent_11m, RadioProfile};
-use bcp_sim::engine::{run_to_quiescence, Scheduler};
-use bcp_sim::event::EventId;
-use bcp_sim::keyed::EvKey;
+use bcp_sim::keyed::{CancelId, EvKey, Keyed, ShardQueue};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::{Trace, TraceClass, TraceEvent, TraceRadioState, TraceRecord};
@@ -124,6 +122,14 @@ enum TbEv {
     Flush,
 }
 
+/// One queue runs the whole testbed, so every event shares one `ord` and
+/// same-instant ties fall to insertion order (first in, first out).
+impl Keyed for TbEv {
+    fn ord(&self) -> u128 {
+        0
+    }
+}
+
 const SENDER: NodeId = NodeId(1);
 const RECEIVER: NodeId = NodeId(0);
 
@@ -132,15 +138,15 @@ struct Harness {
     cfg: TestbedConfig,
     mode: TestbedMode,
     trace: Trace<TraceRecord>,
-    /// Monotone tie-break for trace keys (the testbed has no event-key
-    /// machinery of its own; insertion order is the total order).
+    /// Monotone tie-break for trace keys (every testbed event keys alike,
+    /// so record order is the total order).
     seq: u128,
     bcp_tx: BcpSender,
     bcp_rx: BcpReceiver,
     high: [HighState; 2],
     wake_pending: Vec<BurstId>,
-    ack_timers: HashMap<u64, EventId>,
-    data_timers: HashMap<u64, EventId>,
+    ack_timers: HashMap<u64, CancelId>,
+    data_timers: HashMap<u64, CancelId>,
     generated: u64,
     rng: Rng,
 }
@@ -157,7 +163,7 @@ pub fn run(cfg: &TestbedConfig, mode: TestbedMode) -> TestbedRun {
     let mut h = Harness {
         cfg: cfg.clone(),
         mode,
-        trace: Trace::unbounded(),
+        trace: Trace::new(),
         seq: 0,
         bcp_tx: BcpSender::new(SENDER, bcp_cfg.clone()),
         bcp_rx: BcpReceiver::new(RECEIVER, bcp_cfg),
@@ -168,10 +174,12 @@ pub fn run(cfg: &TestbedConfig, mode: TestbedMode) -> TestbedRun {
         generated: 0,
         rng: Rng::new(cfg.seed),
     };
-    let mut sched: Scheduler<TbEv> = Scheduler::new();
-    sched.at(SimTime::ZERO + cfg.msg_interval, TbEv::MsgGen);
-    run_to_quiescence(&mut h, &mut sched, |h, s, ev| h.handle(s, ev));
-    let end = sched.now();
+    let mut queue = ShardQueue::new();
+    queue.schedule(SimTime::ZERO + cfg.msg_interval, TbEv::MsgGen);
+    while let Some((_, ev)) = queue.pop_min() {
+        h.handle(&mut queue, ev);
+    }
+    let end = queue.now();
     let acc = crate::log::LogAccounting::from_trace(&h.trace, &cfg.low, &cfg.high, end);
     TestbedRun {
         energy_per_packet_uj: acc.energy_per_packet_uj(),
@@ -242,10 +250,10 @@ impl Harness {
         );
     }
 
-    fn handle(&mut self, sched: &mut Scheduler<TbEv>, ev: TbEv) {
-        let now = sched.now();
+    fn handle(&mut self, q: &mut ShardQueue<TbEv>, ev: TbEv) {
+        let now = q.now();
         match ev {
-            TbEv::MsgGen => self.msg_gen(sched),
+            TbEv::MsgGen => self.msg_gen(q),
             TbEv::LowDataArrive { pkt } => {
                 self.rec_deliver(now, &pkt);
             }
@@ -260,7 +268,7 @@ impl Harness {
                         usize::MAX / 4,
                         &mut out,
                     );
-                    self.receiver_actions(sched, out);
+                    self.receiver_actions(q, out);
                 }
                 HandshakeMsg::WakeUpAck {
                     burst,
@@ -269,7 +277,7 @@ impl Harness {
                     let mut out = Vec::new();
                     self.bcp_tx
                         .on_wakeup_ack(now, burst, granted_bytes, &mut out);
-                    self.sender_actions(sched, out);
+                    self.sender_actions(q, out);
                 }
             },
             TbEv::FrameArrive {
@@ -281,12 +289,12 @@ impl Harness {
                 let mut out = Vec::new();
                 self.bcp_rx
                     .on_burst_frame(now, burst, index, count, packets, &mut out);
-                self.receiver_actions(sched, out);
+                self.receiver_actions(q, out);
             }
             TbEv::FrameTxDone { burst } => {
                 let mut out = Vec::new();
                 self.bcp_tx.on_frame_outcome(now, burst, true, &mut out);
-                self.sender_actions(sched, out);
+                self.sender_actions(q, out);
             }
             TbEv::WakeDone { side } => {
                 self.high[Self::side_idx(side)] = HighState::On;
@@ -295,7 +303,7 @@ impl Harness {
                     for burst in core::mem::take(&mut self.wake_pending) {
                         let mut out = Vec::new();
                         self.bcp_tx.on_high_radio_ready(now, burst, &mut out);
-                        self.sender_actions(sched, out);
+                        self.sender_actions(q, out);
                     }
                 }
             }
@@ -303,24 +311,24 @@ impl Harness {
                 self.ack_timers.remove(&burst.0);
                 let mut out = Vec::new();
                 self.bcp_tx.on_ack_timeout(now, burst, &mut out);
-                self.sender_actions(sched, out);
+                self.sender_actions(q, out);
             }
             TbEv::DataTimer { burst } => {
                 self.data_timers.remove(&burst.0);
                 let mut out = Vec::new();
                 self.bcp_rx.on_data_timeout(now, burst, &mut out);
-                self.receiver_actions(sched, out);
+                self.receiver_actions(q, out);
             }
             TbEv::Flush => {
                 let mut out = Vec::new();
                 self.bcp_tx.flush(now, &mut out);
-                self.sender_actions(sched, out);
+                self.sender_actions(q, out);
             }
         }
     }
 
-    fn msg_gen(&mut self, sched: &mut Scheduler<TbEv>) {
-        let now = sched.now();
+    fn msg_gen(&mut self, q: &mut ShardQueue<TbEv>) {
+        let now = q.now();
         let pkt = AppPacket::new(SENDER, RECEIVER, self.generated, now, self.cfg.msg_bytes);
         self.generated += 1;
         self.rec(
@@ -336,21 +344,21 @@ impl Harness {
                 // Immediate transfer over the sensor radio.
                 let latency = self.cfg.low.frame_airtime(pkt.bytes) + self.cfg.low_access;
                 self.rec_low_tx(now, SENDER.0, pkt.bytes);
-                sched.after(latency, TbEv::LowDataArrive { pkt });
+                q.schedule(now + latency, TbEv::LowDataArrive { pkt });
             }
             TestbedMode::DualRadio => {
                 let mut out = Vec::new();
                 self.bcp_tx.on_data(now, RECEIVER, pkt, &mut out);
-                self.sender_actions(sched, out);
+                self.sender_actions(q, out);
             }
         }
         if self.generated < self.cfg.messages as u64 {
             // ±10% interval jitter stands in for testbed noise.
             let base = self.cfg.msg_interval.as_secs_f64();
             let jitter = base * (0.9 + 0.2 * self.rng.f64());
-            sched.after(SimDuration::from_secs_f64(jitter), TbEv::MsgGen);
+            q.schedule(now + SimDuration::from_secs_f64(jitter), TbEv::MsgGen);
         } else if self.mode == TestbedMode::DualRadio {
-            sched.after(self.cfg.msg_interval, TbEv::Flush);
+            q.schedule(now + self.cfg.msg_interval, TbEv::Flush);
         }
     }
 
@@ -362,8 +370,8 @@ impl Harness {
             + self.cfg.low_access
     }
 
-    fn sender_actions(&mut self, sched: &mut Scheduler<TbEv>, actions: Vec<SenderAction>) {
-        let now = sched.now();
+    fn sender_actions(&mut self, q: &mut ShardQueue<TbEv>, actions: Vec<SenderAction>) {
+        let now = q.now();
         for a in actions {
             match a {
                 SenderAction::SendWakeUp {
@@ -371,24 +379,24 @@ impl Harness {
                 } => {
                     self.rec_low_tx(now, SENDER.0, HandshakeMsg::WIRE_BYTES);
                     let msg = HandshakeMsg::WakeUp { burst, burst_bytes };
-                    sched.after(self.ctrl_latency(), TbEv::CtrlArrive { msg });
+                    q.schedule(now + self.ctrl_latency(), TbEv::CtrlArrive { msg });
                 }
                 SenderAction::ArmAckTimer { burst } => {
-                    let id = sched.after(
-                        self.bcp_tx.config().wakeup_ack_timeout,
+                    let id = q.schedule(
+                        now + self.bcp_tx.config().wakeup_ack_timeout,
                         TbEv::AckTimer { burst },
                     );
                     if let Some(old) = self.ack_timers.insert(burst.0, id) {
-                        sched.cancel(old);
+                        q.cancel(old);
                     }
                 }
                 SenderAction::CancelAckTimer { burst } => {
                     if let Some(id) = self.ack_timers.remove(&burst.0) {
-                        sched.cancel(id);
+                        q.cancel(id);
                     }
                 }
                 SenderAction::WakeHighRadio { burst } => {
-                    self.wake_high(sched, Side::Sender, Some(burst));
+                    self.wake_high(q, Side::Sender, Some(burst));
                 }
                 SenderAction::SendBurstFrame {
                     burst,
@@ -413,8 +421,8 @@ impl Harness {
                             ifs_ns: (difs + sifs).as_nanos(),
                         },
                     );
-                    sched.after(
-                        difs + frame_air,
+                    q.schedule(
+                        now + difs + frame_air,
                         TbEv::FrameArrive {
                             burst,
                             index,
@@ -422,8 +430,8 @@ impl Harness {
                             packets,
                         },
                     );
-                    sched.after(
-                        difs + frame_air + sifs + ack_air,
+                    q.schedule(
+                        now + difs + frame_air + sifs + ack_air,
                         TbEv::FrameTxDone { burst },
                     );
                 }
@@ -431,7 +439,7 @@ impl Harness {
                     for pkt in packets {
                         let latency = self.cfg.low.frame_airtime(pkt.bytes) + self.cfg.low_access;
                         self.rec_low_tx(now, SENDER.0, pkt.bytes);
-                        sched.after(latency, TbEv::LowDataArrive { pkt });
+                        q.schedule(now + latency, TbEv::LowDataArrive { pkt });
                     }
                 }
                 SenderAction::ReleaseHighRadio { .. } => {
@@ -443,12 +451,12 @@ impl Harness {
         }
     }
 
-    fn receiver_actions(&mut self, sched: &mut Scheduler<TbEv>, actions: Vec<ReceiverAction>) {
-        let now = sched.now();
+    fn receiver_actions(&mut self, q: &mut ShardQueue<TbEv>, actions: Vec<ReceiverAction>) {
+        let now = q.now();
         for a in actions {
             match a {
                 ReceiverAction::WakeHighRadio { .. } => {
-                    self.wake_high(sched, Side::Receiver, None);
+                    self.wake_high(q, Side::Receiver, None);
                 }
                 ReceiverAction::SendWakeUpAck {
                     burst,
@@ -460,17 +468,18 @@ impl Harness {
                         burst,
                         granted_bytes,
                     };
-                    sched.after(self.ctrl_latency(), TbEv::CtrlArrive { msg });
+                    q.schedule(now + self.ctrl_latency(), TbEv::CtrlArrive { msg });
                 }
                 ReceiverAction::ArmDataTimer { burst } => {
-                    let id = sched.after(self.bcp_rx.data_timeout(), TbEv::DataTimer { burst });
+                    let id =
+                        q.schedule(now + self.bcp_rx.data_timeout(), TbEv::DataTimer { burst });
                     if let Some(old) = self.data_timers.insert(burst.0, id) {
-                        sched.cancel(old);
+                        q.cancel(old);
                     }
                 }
                 ReceiverAction::CancelDataTimer { burst } => {
                     if let Some(id) = self.data_timers.remove(&burst.0) {
-                        sched.cancel(id);
+                        q.cancel(id);
                     }
                 }
                 ReceiverAction::ReleaseHighRadio { .. } => {
@@ -486,14 +495,14 @@ impl Harness {
         }
     }
 
-    fn wake_high(&mut self, sched: &mut Scheduler<TbEv>, side: Side, ready: Option<BurstId>) {
-        let now = sched.now();
+    fn wake_high(&mut self, q: &mut ShardQueue<TbEv>, side: Side, ready: Option<BurstId>) {
+        let now = q.now();
         let i = Self::side_idx(side);
         match self.high[i] {
             HighState::Off => {
                 self.rec_high_edge(now, side, TraceRadioState::Waking);
                 self.high[i] = HighState::Waking;
-                sched.after(self.cfg.high.t_wakeup, TbEv::WakeDone { side });
+                q.schedule(now + self.cfg.high.t_wakeup, TbEv::WakeDone { side });
                 if let Some(b) = ready {
                     self.wake_pending.push(b);
                 }
@@ -507,7 +516,7 @@ impl Harness {
                 if let Some(b) = ready {
                     let mut out = Vec::new();
                     self.bcp_tx.on_high_radio_ready(now, b, &mut out);
-                    self.sender_actions(sched, out);
+                    self.sender_actions(q, out);
                 }
             }
         }

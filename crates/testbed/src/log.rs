@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn low_transfers_charge_link_energy() {
-        let mut tr = Trace::unbounded();
+        let mut tr = Trace::new();
         rec(&mut tr, SimTime::from_millis(1), low_tx(20));
         let acc = LogAccounting::from_trace(&tr, &cc2420(), &lucent_11m(), SimTime::from_secs(1));
         let expect = cc2420().link_energy(20);
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn high_span_splits_idle_and_active() {
-        let mut tr = Trace::unbounded();
+        let mut tr = Trace::new();
         rec(
             &mut tr,
             SimTime::ZERO,
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn open_span_closed_at_end() {
-        let mut tr = Trace::unbounded();
+        let mut tr = Trace::new();
         rec(
             &mut tr,
             SimTime::ZERO,
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn delay_mean_over_deliveries() {
-        let mut tr = Trace::unbounded();
+        let mut tr = Trace::new();
         rec(
             &mut tr,
             SimTime::from_secs(5),
@@ -307,7 +307,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "high radio off without on")]
     fn inconsistent_log_panics() {
-        let mut tr = Trace::unbounded();
+        let mut tr = Trace::new();
         rec(
             &mut tr,
             SimTime::ZERO,
@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn empty_log_zero_energy_infinite_per_packet() {
-        let tr: Trace<TraceRecord> = Trace::unbounded();
+        let tr: Trace<TraceRecord> = Trace::new();
         let acc = LogAccounting::from_trace(&tr, &cc2420(), &lucent_11m(), SimTime::from_secs(1));
         assert_eq!(acc.total, Energy::ZERO);
         assert!(acc.energy_per_packet_uj().is_infinite());

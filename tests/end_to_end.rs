@@ -248,3 +248,25 @@ fn delay_bound_fallback_bounds_latency_at_energy_cost() {
     );
     assert!(bounded.goodput > 0.8, "goodput {}", bounded.goodput);
 }
+
+/// Figs. 11–12 (the two-node prototype) at paper quality, byte for byte
+/// against `repro fig11 --paper --json` / `repro fig12 --paper --json`
+/// as checked in: any drift in the testbed's timing, energy accounting
+/// or event order shows here.
+#[test]
+fn testbed_figures_match_their_goldens() {
+    let ctx = bcp::experiments::RunCtx::new(bcp::experiments::Quality::Paper);
+    for id in ["fig11", "fig12"] {
+        let e = bcp::experiments::find(id).expect("registered experiment");
+        let got = format!("{}\n", (e.run)(&ctx).to_json(e.title));
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(format!("{id}.json"));
+        let want =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(
+            got == want,
+            "{id} drifted from its golden; regenerate with `repro {id} --paper --json`"
+        );
+    }
+}
