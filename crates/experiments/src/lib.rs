@@ -15,6 +15,11 @@
 //! Simulation sweeps run on all cores; figure pairs that share sweeps
 //! (5+6, 8+9) compute them once.
 //!
+//! Nothing here measures speed. Throughput is the repository benchmark's
+//! job (`perfbench/`, driven by `BENCHMARK.json`); the engine's exact
+//! window, barrier and queue counts are pinned by the spec goldens in
+//! `tests/phys_layer.rs`.
+//!
 //! # Examples
 //!
 //! ```
@@ -30,14 +35,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ablations;
-pub mod bench;
 pub mod broadcast;
 pub mod fork;
 pub mod idle_floor;
 pub mod lifetime;
 pub mod output;
 pub mod registry;
-pub mod scale;
 pub mod suite;
 
 pub use output::Output;

@@ -151,11 +151,6 @@ pub fn all() -> Vec<Experiment> {
             run: crate::broadcast::broadcast_lifetime,
         },
         Experiment {
-            id: "scale",
-            title: "Scale — events/sec vs node count × shard count (multi-core single run)",
-            run: crate::scale::scale,
-        },
-        Experiment {
             id: "idle_floor",
             title: "Idle floor — LPL duty cycle × send rate (the listen/sleep crossover)",
             run: crate::idle_floor::idle_floor,

@@ -176,42 +176,6 @@ impl Partition {
                 .any(|&m| self.shard_of(m) != s)
         })
     }
-
-    /// The minimum distance (metres) between any node of shard `i` and any
-    /// node of shard `j`, for every ordered pair — the geometric bound
-    /// behind the per-pair conservative lookahead: a radio whose range is
-    /// below `result[i][j]` can never carry a message between those
-    /// shards. The matrix is symmetric and the diagonal is `None` (a
-    /// shard's distance to itself is not meaningful); `None` off the
-    /// diagonal only occurs for empty shards.
-    pub fn min_pair_distance(&self, topo: &Topology) -> Vec<Vec<Option<f64>>> {
-        let mut best = vec![vec![f64::INFINITY; self.k]; self.k];
-        let nodes: Vec<NodeId> = topo.nodes().collect();
-        for (ai, &a) in nodes.iter().enumerate() {
-            let sa = self.shard_of(a);
-            let pa = topo.position(a);
-            for &b in &nodes[ai + 1..] {
-                let sb = self.shard_of(b);
-                if sa == sb {
-                    continue;
-                }
-                let pb = topo.position(b);
-                let (dx, dy) = (pa.x - pb.x, pa.y - pb.y);
-                let d2 = dx * dx + dy * dy;
-                if d2 < best[sa][sb] {
-                    best[sa][sb] = d2;
-                    best[sb][sa] = d2;
-                }
-            }
-        }
-        best.iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&d2| d2.is_finite().then(|| d2.sqrt()))
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 /// Splits `order` into the `cuts.len() + 1` contiguous chunks delimited
@@ -337,36 +301,6 @@ mod tests {
         assert_eq!(one.shard_sizes(), vec![4]);
         let all = Partition::strips_avoiding(&topo, 4, NodeId(3));
         assert_eq!(all.shard_sizes(), vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn min_pair_distance_matches_strip_geometry() {
-        // 6×6 grid at 40 m pitch, 3 strips of 2 columns each: adjacent
-        // strips are one pitch apart, strips 0 and 2 are three pitches
-        // apart (column 1 to column 4).
-        let topo = Topology::grid(6, 40.0);
-        let p = Partition::strips(&topo, 3);
-        let m = p.min_pair_distance(&topo);
-        assert_eq!(m.len(), 3);
-        for (i, row) in m.iter().enumerate() {
-            assert_eq!(row.len(), 3);
-            assert_eq!(row[i], None, "diagonal is undefined");
-            for (j, d) in row.iter().enumerate() {
-                if i != j {
-                    assert_eq!(*d, m[j][i], "matrix is symmetric");
-                }
-            }
-        }
-        assert_eq!(m[0][1], Some(40.0));
-        assert_eq!(m[1][2], Some(40.0));
-        assert_eq!(m[0][2], Some(120.0));
-    }
-
-    #[test]
-    fn min_pair_distance_single_shard_is_all_none() {
-        let topo = Topology::grid(3, 40.0);
-        let p = Partition::single(topo.len());
-        assert_eq!(p.min_pair_distance(&topo), vec![vec![None]]);
     }
 
     #[test]

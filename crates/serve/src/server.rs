@@ -9,7 +9,7 @@ use bcp_simnet::{emit_spec, parse_spec, LiveWorld, RunOptions, Scenario, World};
 use bcp_snapshot::cache::{write_atomic, CellKey, Store};
 use bcp_snapshot::RunMeta;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -138,7 +138,7 @@ pub fn run_server(cfg: &ServeConfig) -> Result<(), String> {
         workers.push(std::thread::spawn(move || worker_loop(&shared)));
     }
 
-    let mut handlers = Vec::new();
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
@@ -146,6 +146,9 @@ pub fn run_server(cfg: &ServeConfig) -> Result<(), String> {
         let Ok(stream) = stream else { continue };
         let conn_shared = Arc::clone(&shared);
         let socket = cfg.socket.clone();
+        // A finished thread that is never joined keeps its stack mapped;
+        // dropping its handle releases it. Live ones are joined below.
+        handlers.retain(|h| !h.is_finished());
         handlers.push(std::thread::spawn(move || {
             handle_conn(&conn_shared, stream, &socket)
         }));
@@ -165,7 +168,10 @@ pub fn run_server(cfg: &ServeConfig) -> Result<(), String> {
 }
 
 /// Replays `jobs/*.json` manifests into fresh state: the restart path.
-/// Returns the number of jobs recovered.
+/// A manifest that cannot be read, parsed or canonicalised is renamed to
+/// `<name>.bad` (which the `.json` filter skips), with a warning on
+/// stderr, so one bad file cannot keep the server from starting. Returns
+/// the number of jobs recovered.
 fn recover_jobs(shared: &Shared) -> Result<usize, String> {
     let dir = shared.store.jobs_dir();
     let mut manifests: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -176,65 +182,90 @@ fn recover_jobs(shared: &Shared) -> Result<usize, String> {
     // j2 sorts after j10 lexically; order by the numeric id so recovered
     // job ids never collide with new ones.
     manifests.sort_by_key(|p| job_number(p).unwrap_or(u64::MAX));
-    let count = manifests.len();
+    let mut recovered = 0;
     for path in manifests {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let v = bcp_sim::json::parse(&text)
-            .map_err(|e| format!("{}: bad manifest: {e}", path.display()))?;
-        let id = v
-            .get("job")
-            .and_then(|j| j.as_str())
-            .ok_or_else(|| format!("{}: manifest lacks a job id", path.display()))?
-            .to_string();
-        let cells = v
-            .get("cells")
-            .and_then(|c| c.as_arr())
-            .ok_or_else(|| format!("{}: manifest lacks cells", path.display()))?
-            .iter()
-            .map(CellSpec::from_value)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let manifest = read_manifest(&path);
         let mut st = shared.inner.lock().expect("state lock");
         let num = job_number(&path).unwrap_or(0);
         st.next_job = st.next_job.max(num + 1);
-        enqueue_job(&mut st, shared, id, &cells).map_err(|e| format!("{}: {e}", path.display()))?;
+        match manifest {
+            Ok((id, cells)) => {
+                enqueue_job(&mut st, shared, id, cells);
+                recovered += 1;
+            }
+            Err(e) => {
+                let mut bad = path.clone().into_os_string();
+                bad.push(".bad");
+                match std::fs::rename(&path, &bad) {
+                    Ok(()) => eprintln!("warning: {e}; moved to {}", Path::new(&bad).display()),
+                    Err(re) => eprintln!("warning: {e}; cannot move it aside: {re}"),
+                }
+            }
+        }
     }
-    Ok(count)
+    Ok(recovered)
+}
+
+/// Reads one job manifest and canonicalises its cells.
+fn read_manifest(path: &Path) -> Result<(String, Vec<(CellKey, usize)>), String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let v = bcp_sim::json::parse(&text)
+        .map_err(|e| format!("{}: bad manifest: {e}", path.display()))?;
+    let id = v
+        .get("job")
+        .and_then(|j| j.as_str())
+        .ok_or_else(|| format!("{}: manifest lacks a job id", path.display()))?
+        .to_string();
+    let cells = v
+        .get("cells")
+        .and_then(|c| c.as_arr())
+        .ok_or_else(|| format!("{}: manifest lacks cells", path.display()))?
+        .iter()
+        .map(CellSpec::from_value)
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|cells| canonical_cells(&cells))
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok((id, cells))
 }
 
 fn job_number(path: &Path) -> Option<u64> {
     path.file_stem()?.to_str()?.strip_prefix('j')?.parse().ok()
 }
 
-/// Canonicalises one submitted cell: parse, re-emit, key on the emitted
-/// text. Returns the key and the scenario's shard count.
-fn canonical_cell(cell: &CellSpec) -> Result<(CellKey, usize), String> {
-    let scen: Scenario = parse_spec(&cell.scn).map_err(|e| format!("bad scn: {e}"))?;
-    let canon = emit_spec(&scen).map_err(|e| format!("scn does not re-emit: {e}"))?;
-    Ok((
-        CellKey {
-            scn: canon,
-            quality: cell.quality.clone(),
-            seed: cell.seed,
-        },
-        scen.shards.max(1),
-    ))
+/// Canonicalises a job's cells: parse, re-emit, key on the emitted text.
+/// Returns each cell's key and its scenario's shard count, or the first
+/// cell's error; either every cell is canonical or none is returned, so a
+/// bad cell never leaves its siblings queued under no job.
+fn canonical_cells(cells: &[CellSpec]) -> Result<Vec<(CellKey, usize)>, String> {
+    cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            let scen: Scenario =
+                parse_spec(&cell.scn).map_err(|e| format!("cell {}: bad scn: {e}", i + 1))?;
+            let canon = emit_spec(&scen)
+                .map_err(|e| format!("cell {}: scn does not re-emit: {e}", i + 1))?;
+            Ok((
+                CellKey {
+                    scn: canon,
+                    quality: cell.quality.clone(),
+                    seed: cell.seed,
+                },
+                scen.shards.max(1),
+            ))
+        })
+        .collect()
 }
 
-/// Registers a job's cells (deduplicating against every cell already
-/// known), queues the ones without a cached result, and records the job.
-/// Returns the number of cells whose results were already available.
-fn enqueue_job(
-    st: &mut Inner,
-    shared: &Shared,
-    id: String,
-    cells: &[CellSpec],
-) -> Result<usize, String> {
+/// Registers a job's canonical cells (deduplicating against every cell
+/// already known), queues the ones without a cached result, and records
+/// the job. Returns the number of cells whose results were already
+/// available.
+fn enqueue_job(st: &mut Inner, shared: &Shared, id: String, cells: Vec<(CellKey, usize)>) -> usize {
     let mut hashes = Vec::with_capacity(cells.len());
     let mut cached = 0usize;
-    for cell in cells {
-        let (key, shards) = canonical_cell(cell)?;
+    for (key, shards) in cells {
         let hash = key.hash_hex();
         if let Some(existing) = st.cells.get(&hash) {
             if existing.status == CellStatus::Done {
@@ -275,12 +306,32 @@ fn enqueue_job(
     }
     st.jobs.push(JobState { id, cells: hashes });
     shared.cv.notify_all();
-    Ok(cached)
+    cached
 }
 
 // ---------------------------------------------------------------------
 // Connections
 // ---------------------------------------------------------------------
+
+/// The longest request line the server reads, newline included. A
+/// 10-cell submit of the benchmark's sweep is 7.6 KB; the cap bounds
+/// what one client can make the server buffer.
+const MAX_LINE: u64 = 16 << 20;
+
+/// Reads one request line of at most [`MAX_LINE`] bytes. A line that
+/// reaches the cap without a newline is an error, never a truncated
+/// request.
+fn read_request_line(reader: &mut impl BufRead) -> Result<String, String> {
+    let mut line = String::new();
+    reader
+        .take(MAX_LINE)
+        .read_line(&mut line)
+        .map_err(|e| format!("cannot read the request line: {e}"))?;
+    if line.len() as u64 == MAX_LINE && !line.ends_with('\n') {
+        return Err(format!("request line longer than {MAX_LINE} bytes"));
+    }
+    Ok(line)
+}
 
 fn handle_conn(shared: &Shared, stream: UnixStream, socket: &Path) {
     let Ok(read_half) = stream.try_clone() else {
@@ -288,8 +339,14 @@ fn handle_conn(shared: &Shared, stream: UnixStream, socket: &Path) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    let line = match read_request_line(&mut reader) {
+        Ok(line) => line,
+        Err(e) => {
+            let _ = writeln!(writer, "{}", error_line(&e));
+            return;
+        }
+    };
+    if line.trim().is_empty() {
         return;
     }
     let reply = match parse_request(&line) {
@@ -320,11 +377,14 @@ fn handle_conn(shared: &Shared, stream: UnixStream, socket: &Path) {
 }
 
 /// Handles a submit: canonicalise, dedup, queue, persist the manifest.
+/// Every cell is canonicalised before any state is touched, so a bad cell
+/// fails the whole submit and queues nothing.
 fn do_submit(shared: &Shared, cells: &[CellSpec]) -> Result<(String, usize, usize), String> {
+    let canon = canonical_cells(cells)?;
     let mut st = shared.inner.lock().expect("state lock");
     let id = format!("j{}", st.next_job);
     st.next_job += 1;
-    let cached = enqueue_job(&mut st, shared, id.clone(), cells)?;
+    let cached = enqueue_job(&mut st, shared, id.clone(), canon);
     drop(st);
     // Persist the manifest so a restarted server re-queues what is not
     // yet cached. Written after queuing: losing a manifest loses the
@@ -585,9 +645,8 @@ fn execute_cell(
         }
     }
     let opts = RunOptions {
-        trace: false,
         series_every: Some(shared.grid),
-        scalar_lookahead: false,
+        ..RunOptions::default()
     };
     let ckpt = shared.store.ckpt_path(key);
     let (mut lw, resumed) = match bcp_snapshot::load_with_meta(&ckpt) {
@@ -678,5 +737,104 @@ fn settle(
     if status == CellStatus::Queued {
         let mut st = shared.inner.lock().expect("state lock");
         st.queue.push_back(hash.to_string());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A server's shared state over a fresh store, with no workers, so
+    /// queued cells stay queued.
+    fn fresh(name: &str) -> Shared {
+        let root = std::env::temp_dir().join(format!("bcp-serve-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        Shared {
+            inner: Mutex::new(Inner::default()),
+            cv: Condvar::new(),
+            store: Store::open(&root).expect("the store opens"),
+            grid: SimDuration::from_secs(10),
+            budget: 1,
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
+    fn cell(topo: &str) -> CellSpec {
+        CellSpec {
+            scn: format!("topo = {topo}\nsink = 0\nsenders = 1\n"),
+            quality: "test".into(),
+            seed: 1,
+        }
+    }
+
+    fn manifest(job: &str, cells: &[CellSpec]) -> String {
+        let cells: Vec<String> = cells.iter().map(CellSpec::to_json).collect();
+        format!("{{\"job\":\"{job}\",\"cells\":[{}]}}\n", cells.join(","))
+    }
+
+    #[test]
+    fn recovery_quarantines_bad_manifests_and_keeps_the_rest() {
+        let shared = fresh("recover");
+        let jobs = shared.store.jobs_dir();
+        std::fs::write(jobs.join("j0.json"), "not json").unwrap();
+        std::fs::write(
+            jobs.join("j1.json"),
+            manifest("j1", &[cell("grid:65:40.0")]),
+        )
+        .unwrap();
+        let good = [cell("grid:3:40.0"), cell("line:4:40.0")];
+        std::fs::write(jobs.join("j2.json"), manifest("j2", &good)).unwrap();
+
+        assert_eq!(recover_jobs(&shared), Ok(1), "only j2 is recovered");
+        for bad in ["j0.json", "j1.json"] {
+            assert!(!jobs.join(bad).exists(), "{bad} left in place");
+            assert!(
+                jobs.join(format!("{bad}.bad")).exists(),
+                "{bad} not quarantined"
+            );
+        }
+        assert!(jobs.join("j2.json").exists());
+        let st = shared.inner.lock().unwrap();
+        let want: Vec<String> = canonical_cells(&good)
+            .unwrap()
+            .iter()
+            .map(|(key, _)| key.hash_hex())
+            .collect();
+        assert_eq!(st.queue, want, "exactly j2's cells are queued");
+        assert_eq!(st.jobs.len(), 1);
+        assert_eq!(st.jobs[0].id, "j2");
+        assert_eq!(st.next_job, 3, "quarantined ids are not reused");
+        std::fs::remove_dir_all(shared.store.root()).ok();
+    }
+
+    #[test]
+    fn a_submit_with_a_bad_cell_queues_nothing() {
+        let shared = fresh("submit");
+        let err = do_submit(&shared, &[cell("grid:3:40.0"), cell("grid:65:40.0")]).unwrap_err();
+        assert!(err.starts_with("cell 2: bad scn"), "{err}");
+        let st = shared.inner.lock().unwrap();
+        assert!(st.queue.is_empty(), "the good cell was queued under no job");
+        assert!(st.cells.is_empty() && st.jobs.is_empty());
+        assert_eq!(st.next_job, 0, "no job id was spent");
+        let manifests = std::fs::read_dir(shared.store.jobs_dir()).unwrap().count();
+        assert_eq!(manifests, 0, "no manifest was written");
+        std::fs::remove_dir_all(shared.store.root()).ok();
+    }
+
+    #[test]
+    fn request_lines_are_capped() {
+        let cap = MAX_LINE as usize;
+        let endless = vec![b'['; cap + 1];
+        let err = read_request_line(&mut std::io::Cursor::new(endless)).unwrap_err();
+        assert!(err.contains("longer than"), "{err}");
+
+        let mut at_cap = vec![b' '; cap - 1];
+        at_cap.push(b'\n');
+        let line = read_request_line(&mut std::io::Cursor::new(at_cap)).unwrap();
+        assert_eq!(line.len(), cap, "a line of exactly the cap is whole");
+
+        let two = b"{\"cmd\":\"status\"}\n{\"cmd\":\"shutdown\"}\n";
+        let line = read_request_line(&mut std::io::Cursor::new(&two[..])).unwrap();
+        assert_eq!(line, "{\"cmd\":\"status\"}\n");
     }
 }

@@ -170,112 +170,6 @@ impl<S: PdesShard> ShardsMut<'_, S> {
     }
 }
 
-/// How far ahead of the earliest pending event a conservative window may
-/// safely extend.
-///
-/// * [`Unbounded`](Lookahead::Unbounded) declares the shards mutually
-///   non-interacting (no sends, no deferred globals): the whole horizon
-///   becomes one window.
-/// * [`Scalar`](Lookahead::Scalar) is the classic single bound: every
-///   cross-shard message (and deferred global) arrives at least this far
-///   after it is sent.
-/// * [`Matrix`](Lookahead::Matrix) refines the bound per ordered shard
-///   pair: `pairs[src][dst]` is the minimum delay of any message from
-///   `src` to `dst` (`None` when `src` never sends to `dst`), and
-///   `global` bounds how far ahead of its emitter a deferred global event
-///   lands (`None` when shards never emit globals). Far-apart shard pairs
-///   get large bounds, which widens the first window of every round —
-///   `end = min_j(floor_j + min_i pairs[j][i])` instead of
-///   `min_j floor_j + L` — so far fewer synchronization rounds fire.
-#[derive(Debug, Clone)]
-pub enum Lookahead {
-    /// Shards never interact; one window covers the whole run.
-    Unbounded,
-    /// One bound for every shard pair and for deferred globals.
-    Scalar(SimDuration),
-    /// Per-ordered-pair bounds plus a separate deferred-global bound.
-    Matrix {
-        /// `pairs[src][dst]`: minimum message delay from `src` to `dst`.
-        pairs: Vec<Vec<Option<SimDuration>>>,
-        /// Minimum deferral of globals emitted by shard handlers.
-        global: Option<SimDuration>,
-    },
-}
-
-impl From<Option<SimDuration>> for Lookahead {
-    fn from(l: Option<SimDuration>) -> Self {
-        match l {
-            Some(l) => Lookahead::Scalar(l),
-            None => Lookahead::Unbounded,
-        }
-    }
-}
-
-impl From<SimDuration> for Lookahead {
-    fn from(l: SimDuration) -> Self {
-        Lookahead::Scalar(l)
-    }
-}
-
-/// The per-run plan precomputed from a [`Lookahead`] (all in nanoseconds;
-/// `u64::MAX` encodes "no bound").
-struct LaPlan {
-    /// `src_min[j]`: minimum over destinations of `pairs[j][dst]` — how
-    /// soon anything sent by shard `j` can arrive anywhere.
-    src_min: Vec<u64>,
-    /// Minimum over all pair bounds and the global bound: the safe width
-    /// of every follow-up sub-window in a batched round.
-    width: u64,
-    /// The deferred-global bound.
-    global: u64,
-}
-
-impl LaPlan {
-    fn new(la: &Lookahead, k: usize) -> LaPlan {
-        match la {
-            Lookahead::Unbounded => LaPlan {
-                src_min: vec![u64::MAX; k],
-                width: u64::MAX,
-                global: u64::MAX,
-            },
-            Lookahead::Scalar(l) => {
-                assert!(*l > SimDuration::ZERO, "lookahead must be positive");
-                LaPlan {
-                    src_min: vec![l.as_nanos(); k],
-                    width: l.as_nanos(),
-                    global: u64::MAX,
-                }
-            }
-            Lookahead::Matrix { pairs, global } => {
-                assert_eq!(pairs.len(), k, "lookahead matrix must be k x k");
-                if let Some(g) = global {
-                    assert!(*g > SimDuration::ZERO, "global lookahead must be positive");
-                }
-                let global = global.map_or(u64::MAX, |g| g.as_nanos());
-                let mut width = global;
-                let src_min = pairs
-                    .iter()
-                    .map(|row| {
-                        assert_eq!(row.len(), k, "lookahead matrix must be k x k");
-                        let mut m = u64::MAX;
-                        for l in row.iter().flatten() {
-                            assert!(*l > SimDuration::ZERO, "lookahead must be positive");
-                            m = m.min(l.as_nanos());
-                        }
-                        width = width.min(m);
-                        m
-                    })
-                    .collect();
-                LaPlan {
-                    src_min,
-                    width,
-                    global,
-                }
-            }
-        }
-    }
-}
-
 /// The handler-side interface to the runner: local scheduling,
 /// cross-shard sends and global-event emission.
 pub struct Ctx<'a, E, G> {
@@ -318,8 +212,7 @@ impl<E: Keyed, G> Ctx<'_, E, G> {
     }
 
     /// Sends an event to shard `target` at `time`. The caller must respect
-    /// the lookahead contract: `time ≥ now + lookahead` (the pair bound
-    /// for `(self, target)` under a matrix lookahead). Sending to the own
+    /// the lookahead contract: `time ≥ now + lookahead`. Sending to the own
     /// shard is an ordinary local schedule.
     pub fn send(&mut self, target: usize, time: SimTime, ev: E) {
         if target == self.shard {
@@ -535,13 +428,12 @@ fn step_end(s_end: SimTime, width_ns: u64, horizon: SimTime) -> SimTime {
 /// flags, so all of them leave after the same step. Returns the number of
 /// sub-windows executed.
 ///
-/// Safety of the follow-up steps: `width_ns` is the minimum over every
-/// pair bound and the global bound, so a message sent inside step
-/// `[s, s+W)` arrives `≥ s+W` — at or after the next step's start, and it
-/// is inserted at the step boundary before the receiver drains — while a
-/// global emitted inside the step lands at or after the step's end and
-/// aborts the batch there, handing control back to the coordinator round
-/// loop before any later step could outrun it.
+/// Safety of the follow-up steps: `width_ns` is the lookahead, so a
+/// message sent inside step `[s, s+W)` arrives `≥ s+W` — at or after the
+/// next step's start, and it is inserted at the step boundary before the
+/// receiver drains — while a global emitted inside the step lands at or
+/// after the step's end and aborts the batch there, handing control back
+/// to the coordinator round loop before any later step could outrun it.
 #[allow(clippy::too_many_arguments)] // internal: mirrors the round plan 1:1
 fn batch_party<S: PdesShard>(
     slots: &[Mutex<Slot<S>>],
@@ -589,8 +481,10 @@ fn batch_party<S: PdesShard>(
 }
 
 /// Runs a sharded model to `end` (inclusive) under conservative windows
-/// derived from `lookahead` (anything convertible into a [`Lookahead`] —
-/// an `Option<SimDuration>` gives the classic scalar/unbounded split).
+/// of width `lookahead`: every cross-shard message and every deferred
+/// global event arrives at least this long after it is sent. `None`
+/// declares the shards mutually non-interacting (no sends, no deferred
+/// globals), and the whole horizon becomes one window.
 ///
 /// `gqueue` is the coordinator's queue of global events: schedule fresh
 /// globals into it with [`ShardQueue::schedule`]. A resumed run passes the
@@ -617,7 +511,7 @@ pub fn run_conservative<S, C>(
     shards: Vec<(S, ShardQueue<S::Ev>)>,
     mut gqueue: ShardQueue<S::Global>,
     control: &mut C,
-    lookahead: impl Into<Lookahead>,
+    lookahead: Option<SimDuration>,
     end: SimTime,
     threads: usize,
     sample_every: Option<SimDuration>,
@@ -627,13 +521,15 @@ where
     C: PdesControl<S>,
 {
     assert!(!shards.is_empty(), "need at least one shard");
-    let lookahead = lookahead.into();
+    let la_ns = lookahead.map_or(u64::MAX, |l| {
+        assert!(l > SimDuration::ZERO, "lookahead must be positive");
+        l.as_nanos()
+    });
     if let Some(e) = sample_every {
         assert!(e > SimDuration::ZERO, "sample interval must be positive");
     }
     let started = std::time::Instant::now();
     let k = shards.len();
-    let plan = LaPlan::new(&lookahead, k);
     let slots: Vec<Mutex<Slot<S>>> = shards
         .into_iter()
         .map(|(shard, queue)| {
@@ -660,7 +556,7 @@ where
             &inboxes,
             &mut gqueue,
             control,
-            &plan,
+            la_ns,
             end_excl_run,
             None,
             sample_every,
@@ -725,7 +621,7 @@ where
                 &inboxes,
                 &mut gqueue,
                 control,
-                &plan,
+                la_ns,
                 end_excl_run,
                 Some(Pool {
                     barrier: &barrier,
@@ -787,7 +683,7 @@ fn coordinate<S, C>(
     inboxes: &[Inbox<S::Ev>],
     gqueue: &mut ShardQueue<S::Global>,
     control: &mut C,
-    plan: &LaPlan,
+    la_ns: u64,
     end_excl_run: SimTime,
     pool: Option<Pool<'_>>,
     sample_every: Option<SimDuration>,
@@ -805,9 +701,6 @@ fn coordinate<S, C>(
         // must land in the queue before the window decision: a death
         // emitted mid-round clips the next round.
         let mut shard_min: Option<EvKey> = None;
-        // min_j(floor_j + src_min[j]): the first instant any cross-shard
-        // message produced this round could arrive.
-        let mut arrival_floor = u64::MAX;
         for i in 0..k {
             let msgs = inboxes[i].take();
             let slot = &mut *lock(&slots[i]);
@@ -821,8 +714,6 @@ fn coordinate<S, C>(
             counters.per_shard_max_queue[i] = counters.per_shard_max_queue[i].max(depths[i]);
             if let Some(key) = slot.queue.peek_key() {
                 shard_min = Some(shard_min.map_or(key, |m: EvKey| m.min(key)));
-                arrival_floor =
-                    arrival_floor.min(key.time.as_nanos().saturating_add(plan.src_min[i]));
             }
         }
         let global_min = gqueue.peek_key();
@@ -844,17 +735,12 @@ fn coordinate<S, C>(
         if t0 >= end_excl_run {
             break;
         }
-        // First-window end: the per-source arrival floor (a message from
-        // shard j arrives no earlier than floor_j + src_min[j], so every
-        // event before the minimum of those is safe), further bounded by
-        // how soon the earliest shard could emit a deferred global.
-        let mut end_excl = SimTime::from_nanos(arrival_floor);
-        if let Some(m) = shard_min {
-            end_excl = end_excl.min(SimTime::from_nanos(
-                m.time.as_nanos().saturating_add(plan.global),
-            ));
-        }
-        end_excl = end_excl.min(end_excl_run);
+        // First-window end: nothing a shard does at or after its earliest
+        // event can reach another shard (or the global queue) sooner than
+        // one lookahead later, so every event before that is safe.
+        let mut end_excl = shard_min.map_or(end_excl_run, |m| {
+            SimTime::from_nanos(m.time.as_nanos().saturating_add(la_ns)).min(end_excl_run)
+        });
         // Clamp to the next sample instant so no event at or beyond it
         // runs before the sample fires. Window partitioning never affects
         // physics, so the clamp is observation-only.
@@ -887,7 +773,7 @@ fn coordinate<S, C>(
                     f.store(0, Ordering::Relaxed);
                 }
                 p.round.end1.store(end_excl.as_nanos(), Ordering::Release);
-                p.round.width.store(plan.width, Ordering::Release);
+                p.round.width.store(la_ns, Ordering::Release);
                 p.round.horizon.store(horizon.as_nanos(), Ordering::Release);
                 let waited = std::time::Instant::now();
                 p.barrier.wait();
@@ -898,7 +784,7 @@ fn coordinate<S, C>(
                     0,
                     p.parties,
                     end_excl,
-                    plan.width,
+                    la_ns,
                     horizon,
                     |s, f| {
                         p.round.flags[s].fetch_or(f, Ordering::AcqRel);
@@ -909,22 +795,13 @@ fn coordinate<S, C>(
                     },
                 )
             }
-            None => batch_party(
-                slots,
-                inboxes,
-                0,
-                1,
-                end_excl,
-                plan.width,
-                horizon,
-                |_, f| f,
-            ),
+            None => batch_party(slots, inboxes, 0, 1, end_excl, la_ns, horizon, |_, f| f),
         };
         counters.windows += steps;
         counters.barriers += steps + 1;
         let mut covered = end_excl;
         for _ in 1..steps {
-            covered = step_end(covered, plan.width, horizon);
+            covered = step_end(covered, la_ns, horizon);
         }
         counters.window_width_s_sum += covered.saturating_duration_since(t0).as_secs_f64();
         // Messages and globals produced by the final step are routed at
@@ -1301,7 +1178,7 @@ mod tests {
         n: u32,
         k: usize,
         threads: usize,
-        la: impl Into<Lookahead>,
+        la: Option<SimDuration>,
         sample_every: Option<SimDuration>,
     ) -> SampledRun {
         let end = SimTime::from_millis(20);
@@ -1485,41 +1362,6 @@ mod tests {
             let (_, _, _, sk, _) = run_sampled(12, k, threads, Some(LOOKAHEAD), Some(every));
             let got: Vec<(SimTime, u64)> = sk.iter().map(|&(t, d, _)| (t, d)).collect();
             assert_eq!(base, got, "samples diverged at k={k} threads={threads}");
-        }
-    }
-
-    #[test]
-    fn matrix_lookahead_is_bit_identical_to_scalar() {
-        // Cells only ever send to the shard owning the ring successor, so
-        // a matrix with the true LOOKAHEAD on ring-adjacent pairs and a
-        // huge bound on distant ones is sound — and must replay exactly
-        // the scalar run, for every thread count.
-        let k = 4;
-        let (c_ref, l_ref, p_ref) = run(12, k, 1);
-        let pairs: Vec<Vec<Option<SimDuration>>> = (0..k)
-            .map(|i| {
-                (0..k)
-                    .map(|j| {
-                        if i == j {
-                            None
-                        } else if (i + 1) % k == j || (j + 1) % k == i {
-                            Some(LOOKAHEAD)
-                        } else {
-                            Some(SimDuration::from_millis(100))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        for threads in [1, 4] {
-            let la = Lookahead::Matrix {
-                pairs: pairs.clone(),
-                global: None,
-            };
-            let (c, l, p, _, _) = run_sampled(12, k, threads, la, None);
-            assert_eq!(c_ref, c, "matrix lookahead diverged at threads={threads}");
-            assert_eq!(l_ref, l, "digests diverged at threads={threads}");
-            assert_eq!(p_ref, p, "event counts diverged at threads={threads}");
         }
     }
 

@@ -68,5 +68,5 @@ pub use bcp_traffic::TrafficPattern;
 pub use metrics::{EngineStats, FlowStats, Metrics, NodePowerReport, RunStats, SeriesSample};
 pub use scenario::{HighRoute, ModelKind, Scenario, WorkloadKind};
 pub use snapshot::{explore, fork_with_power, ExploreLimits, ExploreReport, ForkError, WorldState};
-pub use spec::{emit_spec, parse_spec, ScenarioBuilder, SpecError};
+pub use spec::{emit_spec, parse_spec, ScenarioBuilder, SpecError, MAX_NODES};
 pub use world::{LiveWorld, RunOptions, RunOutput, World};

@@ -439,7 +439,7 @@ fn capture_node(n: &NodeState, shard: &ShardState) -> NodeSnapshot {
 /// grid position win over `opts.series_every`'s interval so the sample
 /// grid continues instead of restarting.
 pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
-    let mut scaf = Scaffold::new(&state.scen, opts);
+    let mut scaf = Scaffold::new(&state.scen);
     // Per-link shadowing is part of the world's identity: reinstall the
     // captured offsets before any shard is built so every decode after
     // the resume sees the exact link gains the first segment saw.

@@ -37,6 +37,14 @@
 //! optional — defaults are the paper's single-hop setting — except
 //! `senders`. See the README's "Scenario files" section for the full key
 //! table; [`emit_spec`] always writes the canonical form.
+//!
+//! A `topo` may hold at most [`MAX_NODES`] nodes. Building a world costs
+//! memory and time quadratic in the node count, because the route tables
+//! are all-pairs; measured on a 2-vCPU host, `World::build` alone takes
+//! 164 MB and 0.26 s at 2,025 nodes, 597 MB and 1.0 s at 4,096, and
+//! 3.3 GB and 7.0 s at 10,000. [`parse_spec`] refuses a larger topology
+//! with [`SpecError::TooManyNodes`] before allocating it, so one line of
+//! a submitted cell cannot exhaust a server's memory.
 
 use crate::scenario::{HighRoute, ModelKind, Scenario, WorkloadKind};
 use bcp_core::config::BcpConfig;
@@ -53,6 +61,10 @@ use bcp_radio::profile::{
 use bcp_sim::time::SimDuration;
 use bcp_traffic::{TrafficPattern, GOSSIP_DEFAULT_SEED};
 use std::fmt;
+
+/// The node budget of a `.scn` topology: a 64×64 grid, twice the largest
+/// checked-in spec (see the module docs for what a world this size costs).
+pub const MAX_NODES: usize = 4096;
 
 /// Why a scenario failed to build (or a `.scn` file failed to parse).
 ///
@@ -191,6 +203,16 @@ pub enum SpecError {
         /// What is wrong.
         reason: String,
     },
+    /// A `.scn` topology asks for more than [`MAX_NODES`] nodes.
+    TooManyNodes {
+        /// 1-based line number of the `topo` key.
+        line: usize,
+        /// The node count the line asks for (`usize::MAX` when the count
+        /// itself overflows).
+        nodes: usize,
+        /// The budget, [`MAX_NODES`].
+        max: usize,
+    },
     /// A `.scn` line failed to parse.
     Parse {
         /// 1-based line number in the input.
@@ -306,6 +328,11 @@ impl fmt::Display for SpecError {
             SpecError::InvalidPhys { reason } => {
                 write!(f, "invalid phys model: {reason}")
             }
+            SpecError::TooManyNodes { line, nodes, max } => write!(
+                f,
+                "line {line}: the topology has {nodes} nodes, over the budget of {max} \
+                 (world building is quadratic in the node count)"
+            ),
             SpecError::Parse { line, reason } => write!(f, "line {line}: {reason}"),
             SpecError::Unrepresentable { what } => {
                 write!(f, "not expressible in the .scn format: {what}")
@@ -1241,6 +1268,19 @@ fn emit_topo(t: &Topology) -> String {
 
 fn parse_topo(value: &str, line: usize) -> Result<Topology, SpecError> {
     let bad = |reason: String| SpecError::Parse { line, reason };
+    // Checked before anything is allocated: a refused count never
+    // reaches a `Vec::with_capacity`.
+    let budget = |nodes: usize| {
+        if nodes > MAX_NODES {
+            Err(SpecError::TooManyNodes {
+                line,
+                nodes,
+                max: MAX_NODES,
+            })
+        } else {
+            Ok(())
+        }
+    };
     if let Some(rest) = value.strip_prefix("grid:") {
         let (side, spacing) = rest
             .split_once(':')
@@ -1250,6 +1290,7 @@ fn parse_topo(value: &str, line: usize) -> Result<Topology, SpecError> {
         if side == 0 {
             return Err(bad("grid side must be positive".into()));
         }
+        budget(side.saturating_mul(side))?;
         Ok(Topology::grid(side, spacing))
     } else if let Some(rest) = value.strip_prefix("line:") {
         let (n, spacing) = rest
@@ -1260,8 +1301,10 @@ fn parse_topo(value: &str, line: usize) -> Result<Topology, SpecError> {
         if n == 0 {
             return Err(bad("line length must be positive".into()));
         }
+        budget(n)?;
         Ok(Topology::line(n, spacing))
     } else if let Some(rest) = value.strip_prefix("points:") {
+        budget(rest.split(';').count())?;
         let mut positions = Vec::new();
         for pt in rest.split(';') {
             let (x, y) = pt

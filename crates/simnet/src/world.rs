@@ -32,7 +32,7 @@ use bcp_net::propagation::{dbm_to_mw, PathLoss, PhysModel, ShadowMap, SHADOW_CLA
 use bcp_power::{BatteryModel, PowerSupply};
 use bcp_radio::device::{Radio, RadioState};
 use bcp_radio::units::Energy;
-use bcp_sim::conservative::{run_conservative, EngineCounters, Lookahead};
+use bcp_sim::conservative::{run_conservative, EngineCounters};
 use bcp_sim::keyed::ShardQueue;
 use bcp_sim::rng::Rng;
 use bcp_sim::threads::worker_count;
@@ -52,11 +52,9 @@ pub struct RunOptions {
     pub trace: bool,
     /// Emit one time-series delta sample every this often in sim time.
     pub series_every: Option<SimDuration>,
-    /// Force the classic scalar conservative lookahead instead of the
-    /// per-shard-pair matrix derived from strip geometry. An engine-tuning
-    /// toggle only: lookahead choice changes window partitioning, never
-    /// physics, so results are bit-identical either way (and the test
-    /// suite holds the engine to that).
+    /// Has no effect: the engine has one scalar lookahead. The field
+    /// stays only so struct literals outside this workspace that still
+    /// name it keep compiling; write `..RunOptions::default()` instead.
     pub scalar_lookahead: bool,
 }
 
@@ -98,7 +96,7 @@ impl World {
     /// bit-identical to the classic one-shot run, however the run is
     /// segmented in between — window partitioning never affects physics.
     pub fn build(scen: &Scenario, opts: &RunOptions) -> LiveWorld {
-        let scaf = Scaffold::new(scen, opts);
+        let scaf = Scaffold::new(scen);
         let scen = Arc::clone(&scaf.scen);
         let part = Arc::clone(&scaf.part);
         let addr = Arc::clone(&scaf.addr);
@@ -307,48 +305,10 @@ impl World {
         })
     }
 
-    /// The per-shard-pair conservative lookahead: `pairs[i][j]` is the
-    /// smallest link latency over the radio classes whose range reaches
-    /// from shard `i` to shard `j` (their minimum node distance), `None`
-    /// when no class does — distant strips get wide bounds, so the engine
-    /// opens much wider first windows than the single scalar minimum
-    /// allows. Deferred node-death globals are bounded separately by the
-    /// death announcement latency.
-    fn lookahead_matrix(
-        scen: &Scenario,
-        part: &Partition,
-        death_latency: SimDuration,
-        reach: &[f64; 2],
-    ) -> Lookahead {
-        let k = part.k();
-        let global = Self::battery_possible(scen).then_some(death_latency);
-        let mut pairs = vec![vec![None; k]; k];
-        if k > 1 {
-            let dist = part.min_pair_distance(&scen.topo);
-            for (i, row) in dist.iter().enumerate() {
-                for (j, d) in row.iter().enumerate() {
-                    let Some(d) = *d else { continue };
-                    let mut l: Option<SimDuration> = None;
-                    let mut fold = |c: SimDuration| l = Some(l.map_or(c, |cur| cur.min(c)));
-                    if d <= reach[Class::Low.index()] {
-                        fold(scen.link_latency(Class::Low));
-                    }
-                    if scen.model != ModelKind::Sensor && d <= reach[Class::High.index()] {
-                        fold(scen.link_latency(Class::High));
-                    }
-                    pairs[i][j] = l;
-                }
-            }
-        }
-        Lookahead::Matrix { pairs, global }
-    }
-
-    /// The classic scalar conservative window size: the smallest latency
-    /// over (a) radio classes whose links cross a shard boundary and (b) —
-    /// whenever any node can die — the death announcement latency. `None`
-    /// (unbounded) when shards cannot interact at all. Kept as the
-    /// [`RunOptions::scalar_lookahead`] escape hatch and the reference the
-    /// matrix path is tested bit-identical against.
+    /// The conservative window size: the smallest latency over (a) radio
+    /// classes whose links cross a shard boundary and (b) — whenever any
+    /// node can die — the death announcement latency. `None` (unbounded)
+    /// when shards cannot interact at all.
     fn lookahead(
         scen: &Scenario,
         part: &Partition,
@@ -503,8 +463,7 @@ impl World {
 }
 
 /// The immutable frame of a built world: everything derivable from the
-/// scenario and options alone (partition, addressing, adjacency, engine
-/// tuning). [`World::build`] and the snapshot-restore path derive it the
+/// scenario alone (partition, addressing, adjacency, engine tuning). [`World::build`] and the snapshot-restore path derive it the
 /// same way — which is what lets a checkpoint taken under one shard
 /// count restore into another.
 #[derive(Debug)]
@@ -523,11 +482,11 @@ pub(crate) struct Scaffold {
     pub(crate) death_latency: SimDuration,
     pub(crate) end: SimTime,
     pub(crate) threads: usize,
-    pub(crate) lookahead: Lookahead,
+    pub(crate) lookahead: Option<SimDuration>,
 }
 
 impl Scaffold {
-    pub(crate) fn new(scen: &Scenario, opts: &RunOptions) -> Self {
+    pub(crate) fn new(scen: &Scenario) -> Self {
         let end = scen.end_time();
         let scen = Arc::new(scen.clone());
         let n = scen.topo.len();
@@ -576,11 +535,7 @@ impl Scaffold {
             }
             dests
         });
-        let lookahead = if opts.scalar_lookahead {
-            Lookahead::from(World::lookahead(&scen, &part, death_latency, &reach))
-        } else {
-            World::lookahead_matrix(&scen, &part, death_latency, &reach)
-        };
+        let lookahead = World::lookahead(&scen, &part, death_latency, &reach);
         let threads = worker_count(part.k());
         Scaffold {
             scen,
@@ -824,7 +779,7 @@ impl LiveWorld {
             shards,
             gqueue,
             &mut self.control,
-            self.scaf.lookahead.clone(),
+            self.scaf.lookahead,
             engine_end,
             self.scaf.threads,
             self.series_every,

@@ -4,9 +4,9 @@
 //! * The bucketed calendar-wheel `ShardQueue` must behave exactly like
 //!   the reference it replaced — a binary heap with a cancelled-id set —
 //!   under randomized schedule/cancel/pop-due interleavings.
-//! * The per-shard-pair lookahead matrix must be a pure engine tuning:
-//!   a death-bearing LPL broadcast replays bit-identically under matrix
-//!   and scalar lookahead, across shard and worker-thread counts.
+//! * Conservative windows must be a pure engine tuning: a death-bearing
+//!   LPL broadcast replays bit-identically across shard and worker-thread
+//!   counts.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -17,8 +17,7 @@ use bcp::sim::keyed::{CancelId, EvKey, Keyed, ShardQueue};
 use bcp::sim::rng::Rng;
 use bcp::sim::time::{SimDuration, SimTime};
 use bcp::simnet::{
-    EngineStats, ModelKind, RunOptions, RunStats, Scenario, ScenarioBuilder, SleepSchedule,
-    TrafficPattern,
+    EngineStats, ModelKind, RunStats, Scenario, ScenarioBuilder, SleepSchedule, TrafficPattern,
 };
 
 // ── the queue against its executable spec ───────────────────────────────
@@ -192,7 +191,7 @@ fn bucketed_queue_matches_the_reference_heap_model() {
     }
 }
 
-// ── matrix vs scalar lookahead on a full run ────────────────────────────
+// ── lookahead windows on a full run ─────────────────────────────────────
 
 /// A sink-to-all flood over duty-cycled low radios with a battery-starved
 /// relay dying mid-run: LPL preamble stretching, tree repair after the
@@ -240,26 +239,19 @@ impl Drop for ThreadsEnvGuard {
     }
 }
 
-/// The per-pair lookahead matrix widens conservative windows from strip
-/// geometry; [`RunOptions::scalar_lookahead`] forces the classic scalar
-/// bound instead. Both choices only move window boundaries, so the same
-/// scenario must replay bit-identically under either, at every shard and
+/// The shard count decides which events drain together inside one
+/// lookahead window and which cross a strip boundary as messages; the
+/// thread count decides who drains each window. Neither may move physics:
+/// the same scenario must replay bit-identically at every shard and
 /// worker-thread count.
 #[test]
-fn matrix_and_scalar_lookahead_are_bit_identical() {
+fn lookahead_windows_are_bit_identical_across_shards_and_threads() {
     // Environment mutation is process-global; every BCP_THREADS case in
     // this binary therefore lives in this one test, and the guard puts
     // the original value back afterwards.
     let _guard = ThreadsEnvGuard::capture();
-    let run = |shards: usize, scalar: bool| {
-        let out = lpl_broadcast_death(shards).run_with(&RunOptions {
-            trace: false,
-            series_every: None,
-            scalar_lookahead: scalar,
-        });
-        out.stats
-    };
-    let reference = run(1, false);
+    let run = |shards: usize| lpl_broadcast_death(shards).run();
+    let reference = run(1);
     assert_eq!(
         reference.metrics.node_deaths, 1,
         "the starved relay dies mid-run"
@@ -277,13 +269,11 @@ fn matrix_and_scalar_lookahead_are_bit_identical() {
     for threads in ["1", "4"] {
         std::env::set_var("BCP_THREADS", threads);
         for shards in [1, 2, 4] {
-            for scalar in [false, true] {
-                assert_eq!(
-                    want,
-                    without_engine(run(shards, scalar)).to_json(),
-                    "shards={shards} threads={threads} scalar={scalar}: physics changed"
-                );
-            }
+            assert_eq!(
+                want,
+                without_engine(run(shards)).to_json(),
+                "shards={shards} threads={threads}: physics changed"
+            );
         }
     }
 }

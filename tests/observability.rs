@@ -75,7 +75,7 @@ fn tracing_never_changes_the_summary() {
         let observed = scen.run_with(&RunOptions {
             trace: true,
             series_every: Some(SimDuration::from_secs(3)),
-            scalar_lookahead: false,
+            ..RunOptions::default()
         });
         assert_eq!(
             without_engine(plain).to_json(),
@@ -93,8 +93,7 @@ fn tracing_never_changes_the_summary() {
 fn merged_trace_is_shard_count_invariant() {
     let one = death_scenario(1).run_with(&RunOptions {
         trace: true,
-        series_every: None,
-        scalar_lookahead: false,
+        ..RunOptions::default()
     });
     assert!(
         one.stats.metrics.node_deaths > 0,
@@ -107,8 +106,7 @@ fn merged_trace_is_shard_count_invariant() {
     for k in [2, 4] {
         let sharded = death_scenario(k).run_with(&RunOptions {
             trace: true,
-            series_every: None,
-            scalar_lookahead: false,
+            ..RunOptions::default()
         });
         assert_eq!(
             one.trace.len(),
@@ -125,8 +123,7 @@ fn merged_trace_is_shard_count_invariant() {
 fn trace_keys_are_sorted_and_categorised() {
     let out = death_scenario(2).run_with(&RunOptions {
         trace: true,
-        series_every: None,
-        scalar_lookahead: false,
+        ..RunOptions::default()
     });
     for w in out.trace.windows(2) {
         assert!(w[0].key <= w[1].key, "merged trace is key-ordered");
@@ -152,9 +149,8 @@ fn series_deltas_telescope_to_the_globals() {
         let mut scen = death_scenario(shards);
         scen.duration = SimDuration::from_secs(60);
         let out = scen.run_with(&RunOptions {
-            trace: false,
             series_every: Some(every),
-            scalar_lookahead: false,
+            ..RunOptions::default()
         });
         let s = &out.series;
         assert!(!s.is_empty(), "series emitted");
@@ -202,7 +198,7 @@ fn trace_and_series_round_trip_through_ndjson() {
     let out = death_scenario(2).run_with(&RunOptions {
         trace: true,
         series_every: Some(SimDuration::from_secs(10)),
-        scalar_lookahead: false,
+        ..RunOptions::default()
     });
     for r in out.trace.iter().take(500) {
         let line = r.to_ndjson();

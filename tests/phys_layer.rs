@@ -287,8 +287,7 @@ fn overlaps(a: &[Span], b: &[Span]) -> Vec<(usize, usize)> {
 fn traced(scen: &Scenario) -> RunOutput {
     scen.run_with(&RunOptions {
         trace: true,
-        series_every: None,
-        scalar_lookahead: false,
+        ..RunOptions::default()
     })
 }
 

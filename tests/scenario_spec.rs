@@ -21,7 +21,7 @@ use bcp::sim::rng::Rng;
 use bcp::sim::time::SimDuration;
 use bcp::simnet::{
     emit_spec, parse_spec, HighRoute, ModelKind, Scenario, ScenarioBuilder, SleepSchedule,
-    SpecError, TrafficPattern, WorkloadKind,
+    SpecError, TrafficPattern, WorkloadKind, MAX_NODES,
 };
 
 // ── 1. the round-trip property ──────────────────────────────────────────
@@ -534,6 +534,34 @@ fn rejects_malformed_files_with_line_numbers() {
     let err = parse_spec("senders = auto:5\nshards = many\n").unwrap_err();
     assert!(matches!(err, SpecError::Parse { line: 2, .. }), "{err:?}");
     assert!(err.to_string().starts_with("line 2:"));
+}
+
+#[test]
+fn rejects_topologies_over_the_node_budget() {
+    // Parser only: a world over the budget is never built. A 64×64 grid
+    // is exactly the budget and parses.
+    let spec = |topo: &str| format!("topo = {topo}\nsenders = 1\n");
+    let at_budget = parse_spec(&spec("grid:64:40.0")).expect("grid:64 is within the budget");
+    assert_eq!(at_budget.topo.len(), MAX_NODES);
+    let points = vec!["0,0"; MAX_NODES + 1].join(";");
+    for (topo, nodes) in [
+        ("grid:65:40.0".to_string(), 65 * 65),
+        (format!("line:{}:40.0", MAX_NODES + 1), MAX_NODES + 1),
+        (format!("points:{points}"), MAX_NODES + 1),
+        // side² overflows: refused before anything is allocated.
+        ("grid:4294967296:40.0".to_string(), usize::MAX),
+    ] {
+        let err = parse_spec(&spec(&topo)).unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::TooManyNodes {
+                line: 1,
+                nodes,
+                max: MAX_NODES
+            }
+        );
+        assert!(err.to_string().contains("over the budget of 4096"), "{err}");
+    }
 }
 
 #[test]

@@ -3,13 +3,12 @@
 //! shard count), and a thousands-of-nodes grid — the regime the sharding
 //! exists for — simulates end to end.
 
-use bcp::experiments::scale::sensor_scale;
 use bcp::net::addr::NodeId;
 use bcp::power::{Battery, PowerConfig};
 use bcp::sim::time::{SimDuration, SimTime};
 use bcp::simnet::{
-    LiveWorld, ModelKind, RunOptions, RunStats, Scenario, ScenarioBuilder, SleepSchedule,
-    TrafficPattern, World,
+    parse_spec, LiveWorld, ModelKind, RunOptions, RunStats, Scenario, ScenarioBuilder,
+    SleepSchedule, TrafficPattern, World,
 };
 
 /// Every reported quantity must match bit-for-bit, floats included.
@@ -243,13 +242,15 @@ fn lpl_dual_radio_is_bit_identical_across_shards() {
 
 #[test]
 fn two_thousand_node_grid_smoke() {
-    // 45×45 = 2025 nodes, sensor model, sink at the centre, ~200 senders
-    // — the single-run scale the partitioned engine exists for. Short
-    // horizon so the smoke test stays inside tier-1 budgets.
-    let stats = sensor_scale(45, 3)
-        .with_duration(SimDuration::from_secs(4))
-        .with_shards(4)
-        .run();
+    // examples/specs/scale_2025.scn: 45×45 = 2025 nodes, sensor model,
+    // sink at the centre, 202 senders, 8 strips — the single-run scale
+    // the partitioned engine exists for. Short horizon so the smoke test
+    // stays inside tier-1 budgets.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/specs/scale_2025.scn");
+    let text = std::fs::read_to_string(path).expect("the spec is checked in");
+    let mut scen = parse_spec(&text).expect("the spec parses");
+    scen.seed = 3;
+    let stats = scen.with_duration(SimDuration::from_secs(4)).run();
     assert_eq!(stats.per_node.len(), 2025);
     // ~200 senders funnel 400 kbps into one 250 kbps sink radio: the
     // convergecast is (realistically) congestion-collapsed, so the smoke
