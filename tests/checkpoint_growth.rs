@@ -1,16 +1,149 @@
+//! Checkpoint bytes, pinned and measured.
+//!
+//! Every checkpoint byte is pinned by a digest: the small checked-in
+//! specs and a few scenario-builder cells are paused at instants that
+//! catch each kind of state in flight (handshakes, bursts, receptions,
+//! deaths, shadowing, duty cycling), framed with a run-meta trailer, and
+//! hashed against `tests/golden/checkpoints.txt`. A change to how any
+//! piece of state is written fails here.
+//!
 //! Checkpoint size follows the packets that can still change an outcome,
 //! not every packet ever sent: a delivered copy is one bit of its flow's
 //! delivery bitmap, and only lost copies keep an entry of their own.
 
-use bcp::sim::time::SimTime;
-use bcp::simnet::{parse_spec, RunOptions, World};
+use bcp::net::addr::NodeId;
+use bcp::power::{Battery, PowerConfig};
+use bcp::sim::time::{SimDuration, SimTime};
+use bcp::simnet::{parse_spec, HighRoute, ModelKind, RunOptions, Scenario, WorkloadKind, World};
+use bcp::snapshot::cache::sha256_hex;
 use bcp::snapshot::{to_bytes_with_meta, RunMeta};
+
+fn spec(name: &str) -> Scenario {
+    let path = format!("{}/examples/specs/{name}.scn", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).expect("checked-in spec");
+    parse_spec(&text).expect("spec parses")
+}
+
+/// A 3×3 dual-radio grid whose sender learns high-radio shortcuts while
+/// the starved relays of its low-parent chain die.
+fn shortcut_chain() -> Scenario {
+    let mut s = Scenario::single_hop(ModelKind::DualRadio, 1, 50, 9);
+    s.topo = bcp::net::topo::Topology::grid(3, 40.0);
+    s.sink = NodeId(0);
+    s.senders = vec![NodeId(8)];
+    s.high_profile = bcp::radio::profile::cabletron().with_range(100.0);
+    s.duration = SimDuration::from_secs(600);
+    s.rate_bps = 2_000.0;
+    s.high_route = HighRoute::LowParents {
+        shortcuts: true,
+        listen: SimDuration::from_millis(200),
+    };
+    s.power = PowerConfig::unlimited()
+        .with_node_battery(1, Battery::ideal_joules(8.0))
+        .with_node_battery(2, Battery::ideal_joules(8.0))
+        .with_node_battery(5, Battery::ideal_joules(8.0));
+    s
+}
+
+/// Poisson senders whose traffic stops at a cutoff that flushes the BCP
+/// buffers.
+fn poisson_flush() -> Scenario {
+    Scenario::single_hop(ModelKind::DualRadio, 2, 60, 11)
+        .with_duration(SimDuration::from_secs(90))
+        .with_workload(WorkloadKind::Poisson)
+        .with_traffic_cutoff(SimDuration::from_secs(60), true)
+}
+
+const S: u64 = 1_000_000_000;
+
+/// `(label, scenario, pauses in ns)`. The whole-second pauses sample
+/// steady state; between them, the odd instants catch a `WaitAck`
+/// handshake with a control payload; a receiver session, a medium lock
+/// and a transmission on air; a `Bursting` session with its reassembly
+/// and burst payload; a pending `RxEnd` carrying a burst frame;
+/// `WakingRadio` with a wake pending; a MAC owing an ACK; audible powers
+/// with shadowing offsets; the Gilbert bad state with an on/off
+/// workload; LPL audibility; a dead node; an `RxEnd` with a sensor
+/// payload; supplies with a pending route refresh; the dissemination
+/// tree; learned shortcuts; a pending `NodeDied`; a Poisson workload
+/// with a pending `Flush`.
+fn cells() -> Vec<(&'static str, Scenario, Vec<u64>)> {
+    let steady = [3 * S, 11 * S, 29 * S];
+    let mut out: Vec<(&'static str, Scenario, Vec<u64>)> = Vec::new();
+    for (name, odd) in [
+        (
+            "single_hop",
+            &[
+                12_812_942_000,
+                12_820_861_000,
+                12_823_499_000,
+                12_828_780_000,
+                12_915_889_000,
+                25_728_831_000,
+            ][..],
+        ),
+        ("shadowed_grid", &[12_812_942_000][..]),
+        ("lossy_audio", &[3_230_952_000][..]),
+        ("lpl_monitoring", &[5_503_705_000][..]),
+        ("race_5node", &[10_666_893_000][..]),
+        ("gossip_pairs", &[11_902_257_000][..]),
+        ("lifetime", &[7_919_000][..]),
+        ("broadcast_demo", &[7_919_000][..]),
+        ("broadcast_grid", &[][..]),
+        ("multi_hop", &[][..]),
+    ] {
+        let mut pauses: Vec<u64> = steady.iter().chain(odd).copied().collect();
+        pauses.sort_unstable();
+        out.push((name, spec(name), pauses));
+    }
+    out.push((
+        "cell:shortcut_chain",
+        shortcut_chain(),
+        vec![7 * S, 89_711_825_981],
+    ));
+    out.push(("cell:poisson_flush", poisson_flush(), vec![29 * S]));
+    out
+}
+
+#[test]
+fn checkpoint_bytes_match_their_digests() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/checkpoints.txt");
+    let golden = std::fs::read_to_string(path).unwrap_or_default();
+    let every = SimDuration::from_secs(1);
+    let opts = RunOptions {
+        series_every: Some(every),
+        ..RunOptions::default()
+    };
+    let meta = RunMeta {
+        series_every: Some(every),
+        trace: true,
+        trace_filter: vec!["pkt".into(), "radio".into()],
+    };
+    let mut got = String::new();
+    for (label, scen, pauses) in cells() {
+        let mut lw = World::build(&scen, &opts);
+        for ns in pauses {
+            lw.run_to(SimTime::from_nanos(ns));
+            let bytes = to_bytes_with_meta(&lw.snapshot(), &meta).expect("encodes");
+            got.push_str(&format!("{label} {ns} {}\n", sha256_hex(&bytes)));
+        }
+    }
+    let mismatched: Vec<String> = got
+        .lines()
+        .zip(golden.lines().chain(std::iter::repeat("<missing>")))
+        .filter(|(g, w)| g != w)
+        .map(|(g, w)| format!("  got  {g}\n  want {w}"))
+        .collect();
+    assert!(
+        mismatched.is_empty() && got.lines().count() == golden.lines().count(),
+        "checkpoint bytes changed:\n{}\nfull digest list:\n{got}",
+        mismatched.join("\n")
+    );
+}
 
 #[test]
 fn single_hop_checkpoint_grows_at_most_two_bytes_per_generated_packet() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/specs/single_hop.scn");
-    let text = std::fs::read_to_string(path).expect("checked-in spec");
-    let scen = parse_spec(&text).expect("spec parses");
+    let scen = spec("single_hop");
     let mut lw = World::build(&scen, &RunOptions::default());
     let mut points = Vec::new();
     for secs in [200, 2000] {
