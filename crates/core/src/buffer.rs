@@ -7,6 +7,7 @@
 
 use crate::msg::AppPacket;
 use bcp_net::addr::NodeId;
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use std::collections::VecDeque;
 
 /// Shared-capacity, per-next-hop FIFO buffers.
@@ -27,7 +28,7 @@ use std::collections::VecDeque;
 /// assert_eq!(burst.len(), 1);
 /// assert_eq!(b.total_bytes(), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NextHopBuffers {
     cap_bytes: usize,
     total_bytes: usize,
@@ -45,6 +46,48 @@ pub struct BufferStats {
     pub overflow_drops: u64,
     /// Packets handed out for bursting.
     pub drained: u64,
+}
+
+bcp_sim::persist!(BufferStats {
+    enqueued,
+    overflow_drops,
+    drained
+});
+
+/// The queues in first-use order (which decides future round-robin
+/// choices), then the stats. The byte tallies are recomputed on load,
+/// and contents over the configured capacity are refused.
+impl Persist for NextHopBuffers {
+    fn save(&self, e: &mut Enc) {
+        e.len(self.queues.len());
+        for (hop, q, _) in &self.queues {
+            hop.save(e);
+            q.save(e);
+        }
+        self.stats.save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        let n = d.len()?;
+        self.queues.clear();
+        self.total_bytes = 0;
+        for _ in 0..n {
+            let (hop, q): (NodeId, VecDeque<AppPacket>) = d.read()?;
+            let bytes = q.iter().try_fold(0usize, |sum, p| sum.checked_add(p.bytes));
+            match bytes.and_then(|b| Some((b, self.total_bytes.checked_add(b)?))) {
+                Some((b, total)) if total <= self.cap_bytes => {
+                    self.total_bytes = total;
+                    self.queues.push((hop, q, b));
+                }
+                _ => {
+                    return Err(DecodeError::new(format!(
+                        "buffered packets exceed the {} B buffer capacity",
+                        self.cap_bytes
+                    )))
+                }
+            }
+        }
+        self.stats.load(d)
+    }
 }
 
 impl NextHopBuffers {
@@ -181,40 +224,6 @@ impl NextHopBuffers {
         self.total_bytes -= taken;
         self.stats.drained += out.len() as u64;
         out
-    }
-
-    /// The raw buffer registers for exact checkpointing: the per-next-hop
-    /// queues in their deterministic first-use order, plus the stats. The
-    /// per-queue and total byte tallies are recomputed on restore.
-    pub fn snapshot_state(&self) -> (Vec<(NodeId, Vec<AppPacket>)>, BufferStats) {
-        let queues = self
-            .queues
-            .iter()
-            .map(|(n, q, _)| (*n, q.iter().copied().collect()))
-            .collect();
-        (queues, self.stats)
-    }
-
-    /// Overwrites the buffer contents and stats with captured values,
-    /// preserving queue order (which decides future round-robin choices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the restored packets exceed this buffer's capacity.
-    pub fn restore_state(&mut self, queues: &[(NodeId, Vec<AppPacket>)], stats: BufferStats) {
-        self.queues = queues
-            .iter()
-            .map(|(n, pkts)| {
-                let bytes = pkts.iter().map(|p| p.bytes).sum();
-                (*n, pkts.iter().copied().collect(), bytes)
-            })
-            .collect();
-        self.total_bytes = self.queues.iter().map(|(_, _, b)| *b).sum();
-        assert!(
-            self.total_bytes <= self.cap_bytes,
-            "restored buffer contents exceed capacity"
-        );
-        self.stats = stats;
     }
 
     /// Conservation invariant: enqueued = drained + resident + dropped never

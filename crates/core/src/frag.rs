@@ -6,6 +6,7 @@
 //! and are fragmented into the original packets by BCP."
 
 use crate::msg::{AppPacket, BurstId};
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 
 /// Greedily packs packets (FIFO, order-preserving) into frames of at most
 /// `frame_cap` payload bytes.
@@ -126,38 +127,24 @@ impl Reassembly {
     pub fn bytes_received(&self) -> usize {
         self.bytes_received
     }
+}
 
-    /// The raw progress registers `(burst, seen, packets, bytes)`, for
-    /// exact checkpointing.
-    pub fn raw_parts(&self) -> (BurstId, Vec<bool>, u64, usize) {
-        (
-            self.burst,
-            self.seen.clone(),
-            self.packets_received,
-            self.bytes_received,
-        )
+/// The seen-frame bitmap and the received tallies. The burst is the
+/// session's, given at construction, and the bitmap's length is the
+/// advertised frame count, so an empty one is refused.
+impl Persist for Reassembly {
+    fn save(&self, e: &mut Enc) {
+        self.seen.save(e);
+        (self.packets_received, self.bytes_received).save(e);
     }
-
-    /// Rebuilds reassembly progress from registers captured by
-    /// [`raw_parts`](Self::raw_parts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seen` is empty (bursts carry at least one frame).
-    pub fn from_raw_parts(
-        burst: BurstId,
-        seen: Vec<bool>,
-        packets_received: u64,
-        bytes_received: usize,
-    ) -> Self {
-        assert!(!seen.is_empty(), "bursts carry at least one frame");
-        Reassembly {
-            burst,
-            expected_frames: seen.len() as u32,
-            seen,
-            packets_received,
-            bytes_received,
-        }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        self.seen.load(d)?;
+        self.expected_frames = u32::try_from(self.seen.len())
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| DecodeError::new("a reassembly bitmap must have 1 to 2^32-1 frames"))?;
+        (self.packets_received, self.bytes_received) = d.read()?;
+        Ok(())
     }
 }
 

@@ -6,15 +6,18 @@
 //! goodput, energy per bit and per-packet delay, never payload contents.
 
 use bcp_net::addr::NodeId;
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::time::SimTime;
 use core::fmt;
 
 /// Globally unique identity of one application packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
 
+bcp_sim::persist!(PacketId { 0 });
+
 /// One buffered application packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppPacket {
     /// Unique id (origin-scoped counter folded with the origin).
     pub id: PacketId,
@@ -30,6 +33,14 @@ pub struct AppPacket {
     pub bytes: usize,
 }
 
+bcp_sim::persist!(AppPacket {
+    id,
+    origin,
+    dest,
+    created,
+    bytes
+});
+
 impl AppPacket {
     /// Creates a packet; `seq` must be unique at `origin`.
     pub fn new(origin: NodeId, dest: NodeId, seq: u64, created: SimTime, bytes: usize) -> Self {
@@ -44,8 +55,10 @@ impl AppPacket {
 }
 
 /// Identity of one wake-up handshake / burst exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BurstId(pub u64);
+
+bcp_sim::persist!(BurstId { 0 });
 
 impl BurstId {
     /// Builds a burst id unique across nodes: the initiating node's id is
@@ -87,6 +100,49 @@ pub enum HandshakeMsg {
         /// Bytes the receiver permits (≤ requested when short on buffer).
         granted_bytes: usize,
     },
+}
+
+/// The placeholder a [`Persist::load`] overwrites.
+impl Default for HandshakeMsg {
+    fn default() -> Self {
+        HandshakeMsg::WakeUp {
+            burst: BurstId(0),
+            burst_bytes: 0,
+        }
+    }
+}
+
+/// Tag `0` is a wake-up, `1` its ack; each then carries the burst and the
+/// byte count.
+impl Persist for HandshakeMsg {
+    fn save(&self, e: &mut Enc) {
+        let (tag, burst, bytes) = match *self {
+            HandshakeMsg::WakeUp { burst, burst_bytes } => (0, burst, burst_bytes),
+            HandshakeMsg::WakeUpAck {
+                burst,
+                granted_bytes,
+            } => (1, burst, granted_bytes),
+        };
+        e.u8(tag);
+        burst.save(e);
+        bytes.save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        let tag = d.u8()?;
+        let (burst, bytes) = d.read()?;
+        *self = match tag {
+            0 => HandshakeMsg::WakeUp {
+                burst,
+                burst_bytes: bytes,
+            },
+            1 => HandshakeMsg::WakeUpAck {
+                burst,
+                granted_bytes: bytes,
+            },
+            b => return Err(DecodeError::new(format!("invalid handshake tag {b}"))),
+        };
+        Ok(())
+    }
 }
 
 impl HandshakeMsg {

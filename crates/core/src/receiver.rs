@@ -13,6 +13,7 @@ use crate::config::BcpConfig;
 use crate::frag::Reassembly;
 use crate::msg::{AppPacket, BurstId};
 use bcp_net::addr::NodeId;
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::time::SimTime;
 
 /// Effects requested by the receiver machine.
@@ -75,7 +76,17 @@ pub struct ReceiverStats {
     pub bytes_delivered: u64,
 }
 
-#[derive(Debug, Clone)]
+bcp_sim::persist!(ReceiverStats {
+    sessions_opened,
+    wakeups_refused,
+    wakeups_reacked,
+    sessions_completed,
+    sessions_timed_out,
+    packets_delivered,
+    bytes_delivered
+});
+
+#[derive(Debug, Clone, Default, PartialEq)]
 struct RecvSession {
     from: NodeId,
     burst: BurstId,
@@ -83,37 +94,36 @@ struct RecvSession {
     reassembly: Option<Reassembly>,
 }
 
-/// Exact mutable state of a [`BcpReceiver`], captured for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReceiverSnapshot {
-    /// Open inbound sessions in arrival order.
-    pub sessions: Vec<RecvSessionSnapshot>,
-    /// Behaviour counters.
-    pub stats: ReceiverStats,
-}
-
-/// Captured form of one open inbound session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecvSessionSnapshot {
-    /// The sender of the burst.
-    pub from: NodeId,
-    /// Handshake identity.
-    pub burst: BurstId,
-    /// Bytes granted in the wake-up ACK.
-    pub granted: usize,
-    /// Reassembly registers `(seen, packets_received, bytes_received)`,
-    /// present once the first burst frame arrived.
-    pub reassembly: Option<(Vec<bool>, u64, usize)>,
+/// The reassembly progress, once the first frame arrived, loads into a
+/// tracker of this session's burst.
+impl Persist for RecvSession {
+    fn save(&self, e: &mut Enc) {
+        (self.from, self.burst, self.granted).save(e);
+        e.present(&self.reassembly);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        (self.from, self.burst, self.granted) = d.read()?;
+        self.reassembly = d
+            .boolean()?
+            .then(|| Reassembly::new(self.burst, 1))
+            .map(|mut r| r.load(d).map(|()| r))
+            .transpose()?;
+        Ok(())
+    }
 }
 
 /// The per-node BCP receiver machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BcpReceiver {
     node: NodeId,
     cfg: BcpConfig,
     sessions: Vec<RecvSession>,
     stats: ReceiverStats,
 }
+
+// Open sessions in arrival order, then the counters; the node and config
+// are configuration.
+bcp_sim::persist!(BcpReceiver { sessions, stats });
 
 impl BcpReceiver {
     /// Creates the receiver machine for `node`.
@@ -140,46 +150,6 @@ impl BcpReceiver {
     /// Number of inbound sessions currently open.
     pub fn open_sessions(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// Captures the complete mutable state for checkpointing. Reassembly
-    /// progress is flattened to its raw registers; session order (arrival
-    /// order) is preserved.
-    pub fn snapshot_state(&self) -> ReceiverSnapshot {
-        ReceiverSnapshot {
-            sessions: self
-                .sessions
-                .iter()
-                .map(|s| RecvSessionSnapshot {
-                    from: s.from,
-                    burst: s.burst,
-                    granted: s.granted,
-                    reassembly: s.reassembly.as_ref().map(|r| {
-                        let (_, seen, packets, bytes) = r.raw_parts();
-                        (seen, packets, bytes)
-                    }),
-                })
-                .collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Overwrites the mutable state with a captured [`ReceiverSnapshot`].
-    /// The receiver must have been built with the same config.
-    pub fn restore_state(&mut self, s: &ReceiverSnapshot) {
-        self.sessions = s
-            .sessions
-            .iter()
-            .map(|sess| RecvSession {
-                from: sess.from,
-                burst: sess.burst,
-                granted: sess.granted,
-                reassembly: sess.reassembly.as_ref().map(|(seen, packets, bytes)| {
-                    Reassembly::from_raw_parts(sess.burst, seen.clone(), *packets, *bytes)
-                }),
-            })
-            .collect();
-        self.stats = s.stats;
     }
 
     /// A wake-up message arrived. `free_bytes` is the space this node can

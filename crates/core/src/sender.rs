@@ -18,6 +18,7 @@ use crate::config::BcpConfig;
 use crate::frag::{pack_frames, total_bytes};
 use crate::msg::{AppPacket, BurstId};
 use bcp_net::addr::NodeId;
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::time::SimTime;
 use std::collections::VecDeque;
 
@@ -128,14 +129,74 @@ pub struct SenderStats {
     pub grant_rejections: u64,
 }
 
-#[derive(Debug, Clone)]
+bcp_sim::persist!(SenderStats {
+    handshakes,
+    wakeup_resends,
+    handshake_failures,
+    bursts_completed,
+    frames_ok,
+    frames_failed,
+    packets_sent,
+    bytes_sent,
+    low_fallback_packets,
+    grant_rejections
+});
+
+#[derive(Debug, Clone, PartialEq)]
 enum SessState {
     WaitAck { attempts: u32, requested: usize },
     WakingRadio { granted: usize },
     Bursting(Bursting),
 }
 
-#[derive(Debug, Clone)]
+/// The placeholder a [`Persist::load`] overwrites.
+impl Default for SessState {
+    fn default() -> Self {
+        SessState::WakingRadio { granted: 0 }
+    }
+}
+
+/// Tag `0` is `WaitAck`, `1` `WakingRadio`, `2` `Bursting`, each followed
+/// by its fields.
+impl Persist for SessState {
+    fn save(&self, e: &mut Enc) {
+        match self {
+            SessState::WaitAck {
+                attempts,
+                requested,
+            } => {
+                e.u8(0);
+                attempts.save(e);
+                requested.save(e);
+            }
+            SessState::WakingRadio { granted } => {
+                e.u8(1);
+                granted.save(e);
+            }
+            SessState::Bursting(b) => {
+                e.u8(2);
+                b.save(e);
+            }
+        }
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        *self = match d.u8()? {
+            0 => {
+                let (attempts, requested) = d.read()?;
+                SessState::WaitAck {
+                    attempts,
+                    requested,
+                }
+            }
+            1 => SessState::WakingRadio { granted: d.read()? },
+            2 => SessState::Bursting(d.read()?),
+            b => return Err(DecodeError::new(format!("invalid session state tag {b}"))),
+        };
+        Ok(())
+    }
+}
+
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Bursting {
     pending: VecDeque<(u32, Vec<AppPacket>)>,
     count: u32,
@@ -144,80 +205,33 @@ struct Bursting {
     delivered_bytes: usize,
 }
 
-#[derive(Debug, Clone)]
+bcp_sim::persist!(Bursting {
+    pending,
+    count,
+    in_flight,
+    delivered_packets,
+    delivered_bytes
+});
+
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Session {
     next_hop: NodeId,
     burst: BurstId,
     state: SessState,
 }
 
-/// Exact mutable state of a [`BcpSender`], captured for checkpointing.
-/// Plain data: every field is public and directly serializable; the config
-/// is excluded (scenario-derived, re-supplied on restore).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SenderSnapshot {
-    /// Per-next-hop buffer contents in first-use order.
-    pub buffer_queues: Vec<(NodeId, Vec<AppPacket>)>,
-    /// Buffer behaviour counters.
-    pub buffer_stats: crate::buffer::BufferStats,
-    /// The in-progress handshake/burst, if any.
-    pub session: Option<SessionSnapshot>,
-    /// Bursts initiated so far (feeds [`BurstId`] allocation).
-    pub burst_counter: u64,
-    /// Whether drain mode (threshold ignored) is in force.
-    pub draining: bool,
-    /// Behaviour counters.
-    pub stats: SenderStats,
-}
-
-/// Captured form of one in-progress sender session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionSnapshot {
-    /// The receiver being handshaken/bursted to.
-    pub next_hop: NodeId,
-    /// Handshake identity.
-    pub burst: BurstId,
-    /// Captured machine position.
-    pub state: SessStateSnapshot,
-}
-
-/// Captured form of [`SessionSnapshot`]'s machine position — mirrors the
-/// private session-state enum field for field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SessStateSnapshot {
-    /// Wake-up sent; awaiting the ACK.
-    WaitAck {
-        /// Wake-ups sent so far for this handshake.
-        attempts: u32,
-        /// Bytes requested in the wake-up.
-        requested: usize,
-    },
-    /// ACK granted; waiting for the high radio to come up.
-    WakingRadio {
-        /// Bytes granted by the receiver.
-        granted: usize,
-    },
-    /// Burst frames moving on the high radio.
-    Bursting {
-        /// Frames not yet handed to the MAC: `(frame index, packets)`.
-        pending: Vec<(u32, Vec<AppPacket>)>,
-        /// Total frames in the burst.
-        count: u32,
-        /// The frame currently at the MAC, if any.
-        in_flight: Option<(u32, Vec<AppPacket>)>,
-        /// Packets confirmed delivered so far.
-        delivered_packets: u64,
-        /// Bytes likewise.
-        delivered_bytes: usize,
-    },
-}
+bcp_sim::persist!(Session {
+    next_hop,
+    burst,
+    state
+});
 
 /// The per-node BCP sender machine.
 ///
 /// # Examples
 ///
 /// See the crate-level docs of `bcp-core` for a full handshake walk-through.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BcpSender {
     node: NodeId,
     cfg: BcpConfig,
@@ -227,6 +241,15 @@ pub struct BcpSender {
     draining: bool,
     stats: SenderStats,
 }
+
+// The node and config are configuration, re-supplied by the constructor.
+bcp_sim::persist!(BcpSender {
+    buffers,
+    session,
+    burst_counter,
+    draining,
+    stats
+});
 
 impl BcpSender {
     /// Creates the sender machine for `node`.
@@ -273,80 +296,6 @@ impl BcpSender {
     /// (relays share one buffer pool between forwarding and reception).
     pub fn free_bytes(&self) -> usize {
         self.buffers.free_bytes()
-    }
-
-    /// Captures the complete mutable state for checkpointing.
-    pub fn snapshot_state(&self) -> SenderSnapshot {
-        let (buffer_queues, buffer_stats) = self.buffers.snapshot_state();
-        let session = self.session.as_ref().map(|s| SessionSnapshot {
-            next_hop: s.next_hop,
-            burst: s.burst,
-            state: match &s.state {
-                SessState::WaitAck {
-                    attempts,
-                    requested,
-                } => SessStateSnapshot::WaitAck {
-                    attempts: *attempts,
-                    requested: *requested,
-                },
-                SessState::WakingRadio { granted } => {
-                    SessStateSnapshot::WakingRadio { granted: *granted }
-                }
-                SessState::Bursting(b) => SessStateSnapshot::Bursting {
-                    pending: b.pending.iter().cloned().collect(),
-                    count: b.count,
-                    in_flight: b.in_flight.clone(),
-                    delivered_packets: b.delivered_packets,
-                    delivered_bytes: b.delivered_bytes,
-                },
-            },
-        });
-        SenderSnapshot {
-            buffer_queues,
-            buffer_stats,
-            session,
-            burst_counter: self.burst_counter,
-            draining: self.draining,
-            stats: self.stats,
-        }
-    }
-
-    /// Overwrites the mutable state with a captured [`SenderSnapshot`].
-    /// The receiver must have been built with the same config.
-    pub fn restore_state(&mut self, s: &SenderSnapshot) {
-        self.buffers.restore_state(&s.buffer_queues, s.buffer_stats);
-        self.session = s.session.as_ref().map(|sess| Session {
-            next_hop: sess.next_hop,
-            burst: sess.burst,
-            state: match &sess.state {
-                SessStateSnapshot::WaitAck {
-                    attempts,
-                    requested,
-                } => SessState::WaitAck {
-                    attempts: *attempts,
-                    requested: *requested,
-                },
-                SessStateSnapshot::WakingRadio { granted } => {
-                    SessState::WakingRadio { granted: *granted }
-                }
-                SessStateSnapshot::Bursting {
-                    pending,
-                    count,
-                    in_flight,
-                    delivered_packets,
-                    delivered_bytes,
-                } => SessState::Bursting(Bursting {
-                    pending: pending.iter().cloned().collect(),
-                    count: *count,
-                    in_flight: in_flight.clone(),
-                    delivered_packets: *delivered_packets,
-                    delivered_bytes: *delivered_bytes,
-                }),
-            },
-        });
-        self.burst_counter = s.burst_counter;
-        self.draining = s.draining;
-        self.stats = s.stats;
     }
 
     /// The threshold currently in force: `α·s*` normally, one byte while

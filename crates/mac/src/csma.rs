@@ -17,6 +17,7 @@
 use crate::types::{
     FrameId, FrameKind, MacAction, MacAddr, MacEvent, MacFrame, MacStats, MacTimer,
 };
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
@@ -186,58 +187,17 @@ enum Access {
     TxAck,
 }
 
-impl Access {
-    /// Inverse of `as u8`, for snapshot decoding.
-    fn from_u8(d: u8) -> Access {
-        match d {
-            0 => Access::Quiet,
-            1 => Access::WaitChannel,
-            2 => Access::Deferring,
-            3 => Access::Backoff,
-            4 => Access::TxData,
-            5 => Access::WaitAck,
-            6 => Access::TxAck,
-            _ => panic!("invalid MAC access discriminant {d}"),
-        }
-    }
-}
-
-/// Exact mutable state of a [`CsmaMac`], captured for checkpointing.
-///
-/// Plain data: every field is public and order-stable (the per-peer
-/// sequence maps are sorted by address), so two snapshots of identical
-/// MACs compare equal and serialize identically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MacSnapshot {
-    /// Backoff RNG state.
-    pub rng: [u64; 4],
-    /// `Access` discriminant (state machine position).
-    pub access: u8,
-    /// Last carrier sense reported by the PHY.
-    pub carrier_busy: bool,
-    /// Pending data frames, head first.
-    pub queue: Vec<MacFrame>,
-    /// Transmission attempts for the head-of-line frame.
-    pub attempts: u32,
-    /// Current contention window.
-    pub cw: u32,
-    /// Backoff slots left when the countdown was last (re)started.
-    pub backoff_remaining: u32,
-    /// When the running backoff countdown started.
-    pub backoff_started: SimTime,
-    /// ACK owed after SIFS, if any.
-    pub pending_ack: Option<MacFrame>,
-    /// Whether a suspended access attempt resumes after the ACK.
-    pub resume_after_ack: bool,
-    /// Duplicate-suppression map, sorted by source address.
-    pub last_seq: Vec<(MacAddr, u16)>,
-    /// Per-destination sequence counters, sorted by address.
-    pub next_seq: Vec<(MacAddr, u16)>,
-    /// Next frame id to issue.
-    pub next_frame_id: u64,
-    /// Behaviour counters.
-    pub stats: MacStats,
-}
+bcp_sim::persist!(
+    Access = [
+        Access::Quiet,
+        Access::WaitChannel,
+        Access::Deferring,
+        Access::Backoff,
+        Access::TxData,
+        Access::WaitAck,
+        Access::TxAck,
+    ]
+);
 
 /// The CSMA/CA engine. See the module docs for the two stock
 /// configurations.
@@ -259,7 +219,7 @@ pub struct MacSnapshot {
 /// // Sensor CSMA always backs off before transmitting:
 /// assert!(matches!(actions[0], MacAction::SetTimer { kind: MacTimer::Difs, .. }));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsmaMac {
     cfg: MacConfig,
     addr: MacAddr,
@@ -334,58 +294,6 @@ impl CsmaMac {
     /// before powering the radio down.
     pub fn is_quiescent(&self) -> bool {
         self.state == Access::Quiet && self.queue.is_empty() && self.pending_ack.is_none()
-    }
-
-    /// Captures the complete mutable state for checkpointing. The config
-    /// and address are deliberately excluded: they are pure functions of
-    /// the scenario and are re-supplied on restore via [`CsmaMac::new`].
-    pub fn snapshot_state(&self) -> MacSnapshot {
-        let mut last_seq: Vec<(MacAddr, u16)> =
-            self.last_seq.iter().map(|(&a, &s)| (a, s)).collect();
-        last_seq.sort_unstable();
-        let mut next_seq: Vec<(MacAddr, u16)> =
-            self.next_seq.iter().map(|(&a, &s)| (a, s)).collect();
-        next_seq.sort_unstable();
-        MacSnapshot {
-            rng: self.rng.state(),
-            access: self.state as u8,
-            carrier_busy: self.carrier_busy,
-            queue: self.queue.iter().copied().collect(),
-            attempts: self.attempts,
-            cw: self.cw,
-            backoff_remaining: self.backoff_remaining,
-            backoff_started: self.backoff_started,
-            pending_ack: self.pending_ack,
-            resume_after_ack: self.resume_after_ack,
-            last_seq,
-            next_seq,
-            next_frame_id: self.next_frame_id,
-            stats: self.stats,
-        }
-    }
-
-    /// Overwrites the mutable state with a captured [`MacSnapshot`]. The
-    /// receiver must have been built with the same config and address the
-    /// snapshotted MAC had.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access discriminant is out of range.
-    pub fn restore_state(&mut self, s: &MacSnapshot) {
-        self.rng = Rng::from_state(s.rng);
-        self.state = Access::from_u8(s.access);
-        self.carrier_busy = s.carrier_busy;
-        self.queue = s.queue.iter().copied().collect();
-        self.attempts = s.attempts;
-        self.cw = s.cw;
-        self.backoff_remaining = s.backoff_remaining;
-        self.backoff_started = s.backoff_started;
-        self.pending_ack = s.pending_ack;
-        self.resume_after_ack = s.resume_after_ack;
-        self.last_seq = s.last_seq.iter().copied().collect();
-        self.next_seq = s.next_seq.iter().copied().collect();
-        self.next_frame_id = s.next_frame_id;
-        self.stats = s.stats;
     }
 
     /// Builds a data frame from this MAC with a fresh id and sequence
@@ -698,6 +606,59 @@ impl CsmaMac {
                 // concern (energy); the MAC ignores it.
             }
         }
+    }
+}
+
+/// The per-peer sequence maps as address-sorted pairs, so equal MACs
+/// save equal bytes.
+fn sorted_seqs(map: &HashMap<MacAddr, u16>) -> Vec<(MacAddr, u16)> {
+    let mut v: Vec<(MacAddr, u16)> = map.iter().map(|(&a, &s)| (a, s)).collect();
+    v.sort_unstable();
+    v
+}
+
+/// The config and address are configuration: a MAC is rebuilt from them
+/// and loads only its mutable state.
+impl Persist for CsmaMac {
+    fn save(&self, e: &mut Enc) {
+        self.rng.save(e);
+        self.state.save(e);
+        self.carrier_busy.save(e);
+        self.queue.save(e);
+        self.attempts.save(e);
+        self.cw.save(e);
+        self.backoff_remaining.save(e);
+        self.backoff_started.save(e);
+        self.pending_ack.save(e);
+        self.resume_after_ack.save(e);
+        sorted_seqs(&self.last_seq).save(e);
+        sorted_seqs(&self.next_seq).save(e);
+        self.next_frame_id.save(e);
+        self.stats.save(e);
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        self.rng.load(d)?;
+        self.state.load(d)?;
+        self.carrier_busy.load(d)?;
+        self.queue.load(d)?;
+        if self.queue.len() > self.cfg.queue_cap {
+            return Err(DecodeError::new(format!(
+                "{} queued frames exceed the MAC queue capacity {}",
+                self.queue.len(),
+                self.cfg.queue_cap
+            )));
+        }
+        self.attempts.load(d)?;
+        self.cw.load(d)?;
+        self.backoff_remaining.load(d)?;
+        self.backoff_started.load(d)?;
+        self.pending_ack.load(d)?;
+        self.resume_after_ack.load(d)?;
+        self.last_seq = d.read::<Vec<(MacAddr, u16)>>()?.into_iter().collect();
+        self.next_seq = d.read::<Vec<(MacAddr, u16)>>()?.into_iter().collect();
+        self.next_frame_id.load(d)?;
+        self.stats.load(d)
     }
 }
 

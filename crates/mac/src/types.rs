@@ -10,8 +10,10 @@ use core::fmt;
 
 /// Link-layer address. MACs are deliberately ignorant of platform node ids;
 /// the stack maps between them (see `bcp-net`'s `AddrMap`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MacAddr(pub u64);
+
+bcp_sim::persist!(MacAddr { 0 });
 
 impl MacAddr {
     /// The broadcast address.
@@ -35,22 +37,27 @@ impl fmt::Display for MacAddr {
 
 /// Identifies one enqueued frame across its retransmissions, for matching
 /// [`MacAction::TxOutcome`] back to the submitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameId(pub u64);
 
+bcp_sim::persist!(FrameId { 0 });
+
 /// What a frame carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum FrameKind {
     /// Upper-layer payload.
+    #[default]
     Data,
     /// Link-layer acknowledgment.
     Ack,
 }
 
+bcp_sim::persist!(FrameKind = [FrameKind::Data, FrameKind::Ack]);
+
 /// A link-layer frame. Payloads are modelled by size and an opaque upper
 /// layer `tag`; no bytes are materialised (the simulator never inspects
 /// content, only timing and size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MacFrame {
     /// Submission id (stable across retransmissions).
     pub id: FrameId,
@@ -68,10 +75,21 @@ pub struct MacFrame {
     pub tag: u64,
 }
 
+bcp_sim::persist!(MacFrame {
+    id,
+    src,
+    dst,
+    payload_bytes,
+    kind,
+    seq,
+    tag
+});
+
 /// MAC timers. At most one timer per kind is armed at any moment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MacTimer {
     /// Inter-frame space before a fresh access attempt (DIFS in 802.11).
+    #[default]
     Difs,
     /// Backoff slot countdown completion.
     Backoff,
@@ -80,6 +98,15 @@ pub enum MacTimer {
     /// SIFS gap before transmitting an ACK.
     SifsAck,
 }
+
+bcp_sim::persist!(
+    MacTimer = [
+        MacTimer::Difs,
+        MacTimer::Backoff,
+        MacTimer::AckTimeout,
+        MacTimer::SifsAck,
+    ]
+);
 
 /// Input to the MAC state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,6 +176,17 @@ pub struct MacStats {
     /// Frames confirmed (or assumed) delivered.
     pub tx_successes: u64,
 }
+
+bcp_sim::persist!(MacStats {
+    enqueued,
+    queue_drops,
+    data_tx,
+    ack_tx,
+    delivered,
+    duplicates,
+    tx_failures,
+    tx_successes
+});
 
 #[cfg(test)]
 mod tests {

@@ -6,12 +6,25 @@
 //! radio addresses for the receiver"); [`AddrMap`] is that translation
 //! table.
 
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use core::fmt;
 use std::collections::HashMap;
 
 /// Platform-level identity of a node (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
+
+/// A node id loads through [`Dec::id`], which refuses ids outside the
+/// world being loaded.
+impl Persist for NodeId {
+    fn save(&self, e: &mut Enc) {
+        self.0.save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        self.0 = d.id()?;
+        Ok(())
+    }
+}
 
 /// Link-layer address on the low-power (sensor) radio.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -23,6 +23,8 @@ pub struct LossState {
     pub in_bad: bool,
 }
 
+bcp_sim::persist!(LossState { in_bad });
+
 /// Per-link loss process configuration (immutable; see [`LossState`] for
 /// the runtime side).
 ///

@@ -10,6 +10,7 @@
 
 use crate::addr::NodeId;
 use crate::topo::Topology;
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use std::collections::VecDeque;
 
 /// How routes weigh candidate paths.
@@ -137,28 +138,6 @@ impl Routes {
     /// `true` when no nodes are routed.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The raw route tables `(next, dist)` (both indexed `[dst][src]`),
-    /// for exact checkpointing.
-    #[allow(clippy::type_complexity)]
-    pub fn raw_parts(&self) -> (&[Vec<Option<NodeId>>], &[Vec<Option<u32>>]) {
-        (&self.next, &self.dist)
-    }
-
-    /// Rebuilds routes from tables captured by
-    /// [`raw_parts`](Self::raw_parts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two tables disagree in size.
-    pub fn from_raw_parts(next: Vec<Vec<Option<NodeId>>>, dist: Vec<Vec<Option<u32>>>) -> Self {
-        assert_eq!(next.len(), dist.len(), "route tables must agree in size");
-        Routes {
-            n: next.len(),
-            next,
-            dist,
-        }
     }
 
     /// First hop from `src` toward `dst`; `None` when unreachable or when
@@ -392,31 +371,6 @@ impl Dissemination {
         self.reached.iter().filter(|&&r| r).count()
     }
 
-    /// The raw tree registers `(root, children, reached)`, for exact
-    /// checkpointing.
-    pub fn raw_parts(&self) -> (NodeId, &[Vec<NodeId>], &[bool]) {
-        (self.root, &self.children, &self.reached)
-    }
-
-    /// Rebuilds a tree from registers captured by
-    /// [`raw_parts`](Self::raw_parts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two tables disagree in size.
-    pub fn from_raw_parts(root: NodeId, children: Vec<Vec<NodeId>>, reached: Vec<bool>) -> Self {
-        assert_eq!(
-            children.len(),
-            reached.len(),
-            "tree tables must agree in size"
-        );
-        Dissemination {
-            root,
-            children,
-            reached,
-        }
-    }
-
     /// `node` plus every descendant, in depth-first (stack) order — the
     /// set of nodes that lose a packet when the edge into `node` fails.
     pub fn subtree(&self, node: NodeId) -> Vec<NodeId> {
@@ -487,17 +441,59 @@ impl ShortcutTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
 
-    /// The learned entries in their deterministic learn order, for exact
-    /// checkpointing.
-    pub fn entries(&self) -> &[(NodeId, NodeId)] {
-        &self.entries
+bcp_sim::persist!(ShortcutTable { entries });
+
+/// A table of one row per node must load as many rows as the world has
+/// nodes, each `n` wide when `width` says so.
+fn check_rows<T>(rows: &[Vec<T>], n: usize, width: bool, what: &str) -> Result<(), DecodeError> {
+    if rows.len() != n || (width && rows.iter().any(|r| r.len() != n)) {
+        return Err(DecodeError::new(format!(
+            "{what} does not fit a world of {n} nodes"
+        )));
     }
+    Ok(())
+}
 
-    /// Rebuilds a table from entries captured by
-    /// [`entries`](Self::entries), preserving their order.
-    pub fn from_entries(entries: Vec<(NodeId, NodeId)>) -> Self {
-        ShortcutTable { entries }
+/// The tables load into routes built for the same world, whose size they
+/// must match: `next` with its row count, then the `dist` rows.
+impl Persist for Routes {
+    fn save(&self, e: &mut Enc) {
+        self.next.save(e);
+        for row in &self.dist {
+            row.save(e);
+        }
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        self.next.load(d)?;
+        check_rows(&self.next, self.n, true, "a next-hop table")?;
+        for row in &mut self.dist {
+            row.load(d)?;
+        }
+        check_rows(&self.dist, self.n, true, "a hop-count table")
+    }
+}
+
+/// The tree loads into one built for the same world: the root, the child
+/// lists with their row count, then one reached flag per node.
+impl Persist for Dissemination {
+    fn save(&self, e: &mut Enc) {
+        self.root.save(e);
+        self.children.save(e);
+        for r in &self.reached {
+            r.save(e);
+        }
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        let n = self.reached.len();
+        self.root.load(d)?;
+        self.children.load(d)?;
+        check_rows(&self.children, n, false, "a dissemination tree")?;
+        for r in &mut self.reached {
+            r.load(d)?;
+        }
+        Ok(())
     }
 }
 

@@ -12,6 +12,7 @@
 
 use crate::battery::{Battery, BatteryModel};
 use bcp_radio::units::{Energy, Power};
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::time::SimDuration;
 
 /// A battery plus the bookkeeping tying it to cumulative meter readings.
@@ -77,14 +78,6 @@ impl PowerSupply {
         self.synced
     }
 
-    /// Overwrites the supply registers with captured values — the restore
-    /// path of a checkpoint. Both are path-dependent floating-point sums,
-    /// so they are set verbatim rather than replayed.
-    pub fn restore_state(&mut self, drawn: Energy, synced: Energy) {
-        self.battery.set_drawn(drawn);
-        self.synced = synced;
-    }
-
     /// `true` once the battery can supply nothing more *at the synced
     /// reading* — callers decide when to sync.
     pub fn is_depleted(&self) -> bool {
@@ -109,6 +102,27 @@ impl PowerSupply {
         // Round *up* to the next tick so the depletion event never fires
         // while a sliver of charge is still mathematically left.
         Some(SimDuration::from_nanos((secs * 1e9).ceil() as u64))
+    }
+}
+
+/// The battery's drawn tally, then the synced meter reading. Both are
+/// path-dependent floating-point sums, so they load verbatim rather than
+/// being replayed; the battery model is configuration.
+impl Persist for PowerSupply {
+    fn save(&self, e: &mut Enc) {
+        (self.battery.drawn(), self.synced).save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        let (drawn, synced): (Energy, Energy) = d.read()?;
+        if drawn > self.battery.capacity() {
+            return Err(DecodeError::new(format!(
+                "a battery drew {drawn} of {}",
+                self.battery.capacity()
+            )));
+        }
+        self.battery.set_drawn(drawn);
+        self.synced = synced;
+        Ok(())
     }
 }
 

@@ -43,6 +43,17 @@ pub enum RadioState {
     WakingUp,
 }
 
+bcp_sim::persist!(
+    RadioState = [
+        RadioState::Off,
+        RadioState::Sleeping,
+        RadioState::Idle,
+        RadioState::Receiving,
+        RadioState::Transmitting,
+        RadioState::WakingUp,
+    ]
+);
+
 /// How a reception ended, deciding its energy attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxOutcome {
@@ -77,6 +88,10 @@ pub struct Radio {
     state: RadioState,
     ledger: EnergyLedger,
 }
+
+// The profile is configuration: a radio is rebuilt from it and loads
+// only its operating state and meter.
+bcp_sim::persist!(Radio { state, ledger });
 
 impl Radio {
     /// Creates a radio in `initial` state at time `t0`.
@@ -272,21 +287,6 @@ impl Radio {
     /// Energy accumulated through `t`, including the ongoing state span.
     pub fn report(&self, t: SimTime) -> EnergyReport {
         self.ledger.snapshot(t)
-    }
-
-    /// The raw meter, for exact checkpointing (the profile is scenario
-    /// config and is re-supplied on restore).
-    pub fn ledger(&self) -> &EnergyLedger {
-        &self.ledger
-    }
-
-    /// Overwrites the operating state and meter with captured values,
-    /// bypassing the transition machine — the restore path of a snapshot.
-    /// The caller guarantees `(state, ledger)` came from a radio with this
-    /// profile.
-    pub fn restore_state(&mut self, state: RadioState, ledger: EnergyLedger) {
-        self.state = state;
-        self.ledger = ledger;
     }
 }
 

@@ -77,6 +77,14 @@ pub struct EnergyLedger {
     bucket: EnergyBucket,
 }
 
+bcp_sim::persist!(EnergyBucket = EnergyBucket::ALL);
+bcp_sim::persist!(EnergyLedger {
+    buckets,
+    since,
+    power,
+    bucket
+});
+
 /// An immutable view of accumulated energy, closed at some instant.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyReport {
@@ -136,29 +144,6 @@ impl EnergyLedger {
         let span = t.saturating_duration_since(self.since);
         buckets[self.bucket.index()] += self.power * span;
         EnergyReport { buckets }
-    }
-
-    /// The raw meter registers `(buckets, since, power, bucket)`, for
-    /// exact checkpointing: `snapshot` folds the open span in, which a
-    /// restore must *not* (the span re-opens at the original instant).
-    pub fn raw_parts(&self) -> ([Energy; 7], SimTime, Power, EnergyBucket) {
-        (self.buckets, self.since, self.power, self.bucket)
-    }
-
-    /// Rebuilds a ledger from registers captured by
-    /// [`raw_parts`](Self::raw_parts).
-    pub fn from_raw_parts(
-        buckets: [Energy; 7],
-        since: SimTime,
-        power: Power,
-        bucket: EnergyBucket,
-    ) -> Self {
-        EnergyLedger {
-            buckets,
-            since,
-            power,
-            bucket,
-        }
     }
 }
 

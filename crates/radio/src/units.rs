@@ -4,6 +4,7 @@
 //! arithmetic here is in SI base units (watts, joules) wrapped in newtypes so
 //! that a power can never be mistaken for an energy.
 
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::time::SimDuration;
 use core::fmt;
 use core::iter::Sum;
@@ -27,6 +28,36 @@ pub struct Power(f64);
 /// Energy in joules.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
+
+/// A finite, non-negative amount in its base unit: the precondition
+/// of the [`Power`] and [`Energy`] constructors.
+fn load_amount(d: &mut Dec<'_>, unit: &str) -> Result<f64, DecodeError> {
+    let v: f64 = d.read()?;
+    if !v.is_finite() || v < 0.0 {
+        return Err(DecodeError::new(format!("invalid amount {v} {unit}")));
+    }
+    Ok(v)
+}
+
+impl Persist for Power {
+    fn save(&self, e: &mut Enc) {
+        self.0.save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        self.0 = load_amount(d, "W")?;
+        Ok(())
+    }
+}
+
+impl Persist for Energy {
+    fn save(&self, e: &mut Enc) {
+        self.0.save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        self.0 = load_amount(d, "J")?;
+        Ok(())
+    }
+}
 
 impl Power {
     /// Zero watts.

@@ -52,7 +52,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// The deterministic sort key of one scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EvKey {
     /// Virtual timestamp.
     pub time: SimTime,
@@ -62,6 +62,8 @@ pub struct EvKey {
     /// Content-derived tie-break discriminant (see [`Keyed`]).
     pub ord: u128,
 }
+
+crate::persist!(EvKey { time, depth, ord });
 
 impl EvKey {
     /// The smallest possible key (sorts before everything).

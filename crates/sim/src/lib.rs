@@ -53,6 +53,7 @@
 pub mod conservative;
 pub mod json;
 pub mod keyed;
+pub mod persist;
 pub mod rng;
 pub mod stats;
 pub mod threads;

@@ -24,6 +24,8 @@ pub struct Welford {
     m2: f64,
 }
 
+crate::persist!(Welford { n, mean, m2 });
+
 impl Welford {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
@@ -78,17 +80,6 @@ impl Welford {
             return 0.0;
         }
         t_critical_95(self.n - 1) * self.std_dev() / (self.n as f64).sqrt()
-    }
-
-    /// The raw `(n, mean, m2)` registers, for exact checkpointing.
-    pub fn raw_parts(&self) -> (u64, f64, f64) {
-        (self.n, self.mean, self.m2)
-    }
-
-    /// Rebuilds an accumulator from registers captured by
-    /// [`raw_parts`](Self::raw_parts).
-    pub fn from_raw_parts(n: u64, mean: f64, m2: f64) -> Self {
-        Welford { n, mean, m2 }
     }
 
     /// Merges another accumulator into this one (parallel Welford).

@@ -34,6 +34,7 @@ use bcp_net::loss::{LossModel, LossState};
 use bcp_net::partition::Partition;
 use bcp_net::propagation::{dbm_to_mw, PathLoss, ShadowMap, CAPTURE_THRESHOLD_DB};
 use bcp_net::topo::Topology;
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::rng::Rng;
 
 /// One radio class's received-power state under `phys = logn:…` (absent
@@ -291,37 +292,27 @@ impl Channel {
     // Exact checkpointing
     // ------------------------------------------------------------------
 
-    /// One node's slice of the medium state, for exact checkpointing:
-    /// `(carrier count, reception lock, loss state, loss RNG state)`.
-    /// The loss *model* is configuration and lives in the scenario, not
-    /// here; audible powers are captured via [`Channel::audible_of`].
-    pub fn node_state(&self, node: NodeId) -> (u32, Option<(TxId, bool)>, LossState, [u64; 4]) {
+    /// One node's slice of the medium state, for exact checkpointing.
+    pub(crate) fn slot(&self, node: NodeId) -> ChannelSlot {
         let i = node.index();
-        (
-            self.carrier[i],
-            self.rx_current[i],
-            self.loss_state[i],
-            self.rng[i].state(),
-        )
+        ChannelSlot {
+            carrier: self.carrier[i],
+            rx_current: self.rx_current[i],
+            loss: self.loss_state[i],
+            rng: self.rng[i].clone(),
+            audible: self.audible[i].clone(),
+        }
     }
 
     /// Overwrites one node's slice of the medium state — the restore path
-    /// of a checkpoint (see [`Channel::node_state`]).
-    pub fn restore_node_state(
-        &mut self,
-        node: NodeId,
-        carrier: u32,
-        rx_current: Option<(TxId, bool)>,
-        loss_state: LossState,
-        rng_state: [u64; 4],
-        audible: Vec<(TxId, f64)>,
-    ) {
+    /// of a checkpoint.
+    pub(crate) fn set_slot(&mut self, node: NodeId, slot: ChannelSlot) {
         let i = node.index();
-        self.carrier[i] = carrier;
-        self.rx_current[i] = rx_current;
-        self.loss_state[i] = loss_state;
-        self.rng[i] = Rng::from_state(rng_state);
-        self.audible[i] = audible;
+        self.carrier[i] = slot.carrier;
+        self.rx_current[i] = slot.rx_current;
+        self.loss_state[i] = slot.loss;
+        self.rng[i] = slot.rng;
+        self.audible[i] = slot.audible;
     }
 
     /// Overwrites the collision counter (restore path; the counter is a
@@ -329,6 +320,63 @@ impl Channel {
     /// restore places it on one shard).
     pub fn restore_collisions(&mut self, collisions: u64) {
         self.collisions = collisions;
+    }
+}
+
+/// One node's slice of one radio class's [`Channel`]: carrier count,
+/// reception lock, loss-process state, the node-local loss RNG stream
+/// and the audible powers. The channel keeps these as parallel per-node
+/// arrays, so a checkpoint carries them in this container. The loss
+/// *model* is configuration and lives in the scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChannelSlot {
+    /// Audible foreign transmissions at the pause.
+    pub carrier: u32,
+    /// The frame the receiver is locked onto, with its corruption flag.
+    pub rx_current: Option<(TxId, bool)>,
+    /// The loss process's per-node runtime state.
+    pub loss: LossState,
+    /// The node's loss stream.
+    pub rng: Rng,
+    /// Audible transmissions with their received powers (mW), in
+    /// arrival order. Empty under the disk model, which tracks only
+    /// the carrier count.
+    pub audible: Vec<(TxId, f64)>,
+}
+
+impl ChannelSlot {
+    /// An idle slot; its stream is a placeholder for a load to overwrite.
+    pub(crate) fn idle() -> Self {
+        ChannelSlot {
+            carrier: 0,
+            rx_current: None,
+            loss: LossState::default(),
+            rng: Rng::new(1),
+            audible: Vec::new(),
+        }
+    }
+}
+
+/// The fields in declaration order; a received power must be a finite,
+/// non-negative number of milliwatts.
+impl Persist for ChannelSlot {
+    fn save(&self, e: &mut Enc) {
+        (self.carrier, self.rx_current, self.loss).save(e);
+        self.rng.save(e);
+        self.audible.save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        (self.carrier, self.rx_current, self.loss) = d.read()?;
+        self.rng.load(d)?;
+        self.audible.load(d)?;
+        match self
+            .audible
+            .iter()
+            .find(|(_, mw)| !mw.is_finite() || *mw < 0.0)
+        {
+            Some((_, mw)) => Err(DecodeError::new(format!("invalid received power {mw} mW"))),
+            None => Ok(()),
+        }
     }
 }
 

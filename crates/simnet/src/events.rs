@@ -19,13 +19,15 @@ use bcp_core::msg::{AppPacket, BurstId, HandshakeMsg};
 use bcp_mac::types::{MacFrame, MacTimer};
 use bcp_net::addr::NodeId;
 use bcp_sim::keyed::{pack_ord, Keyed};
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::time::SimTime;
 use std::sync::Arc;
 
 /// Which of a node's two radios an event concerns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Class {
     /// The low-power sensor radio.
+    #[default]
     Low,
     /// The high-power 802.11 radio.
     High,
@@ -41,6 +43,8 @@ impl Class {
     }
 }
 
+bcp_sim::persist!(Class = [Class::Low, Class::High]);
+
 /// Folds a node id with a node-local sequence number into one u64 (node
 /// in the high 24 bits, sequence in the low 40) — the id scheme of every
 /// shard-count-independent identity in the simulator (transmission ids,
@@ -52,8 +56,19 @@ pub fn node_scoped_id(node: NodeId, seq: u64) -> u64 {
 /// Identity of one transmission on the air: the sender's id folded with a
 /// per-sender counter, so ids are unique *and* independent of how the
 /// world is sharded (a global counter would not be).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxId(pub u64);
+
+/// The sender folded into the id must be a node of the world loaded.
+impl Persist for TxId {
+    fn save(&self, e: &mut Enc) {
+        self.0.save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        self.0.load(d)?;
+        d.check_id(self.sender().0 as u64)
+    }
+}
 
 impl TxId {
     /// Builds the id of `sender`'s `seq`-th transmission.
@@ -92,6 +107,57 @@ pub enum Payload {
         /// `RxEnd` fan-out of a broadcast clones a pointer, not the burst.
         packets: Arc<Vec<AppPacket>>,
     },
+}
+
+/// The placeholder a [`Persist::load`] overwrites.
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::SensorData(AppPacket::default())
+    }
+}
+
+/// Tag `0` is sensor data, `1` a control message, `2` a burst frame, each
+/// followed by its fields in declaration order.
+impl Persist for Payload {
+    fn save(&self, e: &mut Enc) {
+        match self {
+            Payload::SensorData(pkt) => {
+                e.u8(0);
+                pkt.save(e);
+            }
+            Payload::Control { msg, dst } => {
+                e.u8(1);
+                (*msg, *dst).save(e);
+            }
+            Payload::Burst {
+                burst,
+                index,
+                count,
+                packets,
+            } => {
+                e.u8(2);
+                (*burst, *index, *count).save(e);
+                packets.save(e);
+            }
+        }
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        *self = match d.u8()? {
+            0 => Payload::SensorData(d.read()?),
+            1 => Payload::Control {
+                msg: d.read()?,
+                dst: d.read()?,
+            },
+            2 => Payload::Burst {
+                burst: d.read()?,
+                index: d.read()?,
+                count: d.read()?,
+                packets: d.read()?,
+            },
+            b => return Err(DecodeError::new(format!("invalid payload tag {b}"))),
+        };
+        Ok(())
+    }
 }
 
 /// Shard-local simulator events.
@@ -200,6 +266,130 @@ pub enum Ev {
     },
 }
 
+/// The placeholder a [`Persist::load`] overwrites.
+impl Default for Ev {
+    fn default() -> Self {
+        Ev::AppArrival { node: NodeId(0) }
+    }
+}
+
+/// One tag byte (`0` = `AppArrival` … `12` = `Sleep`, declaration order),
+/// then the variant's fields in declaration order.
+impl Persist for Ev {
+    fn save(&self, e: &mut Enc) {
+        match self {
+            Ev::AppArrival { node } => {
+                e.u8(0);
+                node.save(e);
+            }
+            Ev::MacTimer { node, class, kind } => {
+                e.u8(1);
+                (*node, *class, *kind).save(e);
+            }
+            Ev::TxEnd { tx } => {
+                e.u8(2);
+                tx.save(e);
+            }
+            Ev::RxBegin {
+                tx,
+                sender,
+                class,
+                kind,
+            } => {
+                e.u8(3);
+                (*tx, *sender, *class).save(e);
+                kind.save(e);
+            }
+            Ev::RxEnd {
+                tx,
+                sender,
+                class,
+                frame,
+                sender_died,
+                payload,
+            } => {
+                e.u8(4);
+                (*tx, *sender, *class).save(e);
+                (*frame, *sender_died).save(e);
+                payload.save(e);
+            }
+            Ev::RadioWakeDone { node } => {
+                e.u8(5);
+                node.save(e);
+            }
+            Ev::BcpAckTimer { node, burst } => {
+                e.u8(6);
+                (*node, *burst).save(e);
+            }
+            Ev::BcpDataTimer { node, burst } => {
+                e.u8(7);
+                (*node, *burst).save(e);
+            }
+            Ev::HighIdleOff { node } => {
+                e.u8(8);
+                node.save(e);
+            }
+            Ev::Flush { node } => {
+                e.u8(9);
+                node.save(e);
+            }
+            Ev::PowerCheck { node } => {
+                e.u8(10);
+                node.save(e);
+            }
+            Ev::WakeSample { node } => {
+                e.u8(11);
+                node.save(e);
+            }
+            Ev::Sleep { node } => {
+                e.u8(12);
+                node.save(e);
+            }
+        }
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        *self = match d.u8()? {
+            0 => Ev::AppArrival { node: d.read()? },
+            1 => Ev::MacTimer {
+                node: d.read()?,
+                class: d.read()?,
+                kind: d.read()?,
+            },
+            2 => Ev::TxEnd { tx: d.read()? },
+            3 => Ev::RxBegin {
+                tx: d.read()?,
+                sender: d.read()?,
+                class: d.read()?,
+                kind: d.read()?,
+            },
+            4 => Ev::RxEnd {
+                tx: d.read()?,
+                sender: d.read()?,
+                class: d.read()?,
+                frame: d.read()?,
+                sender_died: d.read()?,
+                payload: d.read()?,
+            },
+            5 => Ev::RadioWakeDone { node: d.read()? },
+            6 => Ev::BcpAckTimer {
+                node: d.read()?,
+                burst: d.read()?,
+            },
+            7 => Ev::BcpDataTimer {
+                node: d.read()?,
+                burst: d.read()?,
+            },
+            8 => Ev::HighIdleOff { node: d.read()? },
+            9 => Ev::Flush { node: d.read()? },
+            10 => Ev::PowerCheck { node: d.read()? },
+            11 => Ev::WakeSample { node: d.read()? },
+            12 => Ev::Sleep { node: d.read()? },
+            b => return Err(DecodeError::new(format!("invalid event tag {b}"))),
+        };
+        Ok(())
+    }
+}
+
 fn timer_rank(kind: MacTimer) -> u64 {
     match kind {
         MacTimer::Difs => 0,
@@ -234,7 +424,7 @@ impl Keyed for Ev {
 }
 
 /// Whole-world events, executed serially by the coordinator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum GlobalEv {
     /// A node's battery emptied at `at`: survivors repair routes around
     /// the corpse. Delivered one link latency after the death so the
@@ -246,7 +436,32 @@ pub enum GlobalEv {
         at: SimTime,
     },
     /// Periodic residual-energy route refresh (energy-aware routing).
+    #[default]
     RouteRefresh,
+}
+
+/// Tag `0` is a death with its node and instant, `1` a route refresh.
+impl Persist for GlobalEv {
+    fn save(&self, e: &mut Enc) {
+        match self {
+            GlobalEv::NodeDied { node, at } => {
+                e.u8(0);
+                (*node, *at).save(e);
+            }
+            GlobalEv::RouteRefresh => e.u8(1),
+        }
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        *self = match d.u8()? {
+            0 => GlobalEv::NodeDied {
+                node: d.read()?,
+                at: d.read()?,
+            },
+            1 => GlobalEv::RouteRefresh,
+            b => return Err(DecodeError::new(format!("invalid global event tag {b}"))),
+        };
+        Ok(())
+    }
 }
 
 impl Keyed for GlobalEv {

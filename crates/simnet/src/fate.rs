@@ -30,9 +30,10 @@ use std::collections::HashMap;
 
 /// How a copy was lost. Deliveries are bits in the flow bitmaps, and a
 /// copy nobody observed is still buffered or in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Fate {
     /// Shed by a MAC (retry exhaustion or queue overflow).
+    #[default]
     LostMac,
     /// Shed by a BCP buffer overflow.
     LostBuffer,
@@ -41,13 +42,16 @@ pub enum Fate {
 /// A loss observation with the key of the event that made it, so the
 /// per-shard observations merge into the same verdict the sequential run
 /// reaches (earliest loss wins; delivery beats losses).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FateMark {
     /// The observed fate.
     pub fate: Fate,
     /// The key of the event that observed it.
     pub key: EvKey,
 }
+
+bcp_sim::persist!(Fate = [Fate::LostMac, Fate::LostBuffer]);
+bcp_sim::persist!(FateMark { fate, key });
 
 /// Identity of one *accountable copy* of an application packet: the
 /// packet id plus the copy's final destination. Convergecast and gossip

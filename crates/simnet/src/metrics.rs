@@ -42,6 +42,14 @@ pub struct FlowStats {
     pub delay: Welford,
 }
 
+bcp_sim::persist!(FlowStats {
+    generated_packets,
+    generated_bits,
+    delivered_packets,
+    delivered_bits,
+    delay
+});
+
 impl FlowStats {
     /// Folds another shard's view of the same flow into this one.
     pub fn merge(&mut self, other: &FlowStats) {
@@ -111,6 +119,25 @@ pub struct Metrics {
     /// Packets generated before the first death (the matching denominator).
     pub generated_before_first_death: u64,
 }
+
+bcp_sim::persist!(Metrics {
+    generated_packets,
+    generated_bits,
+    delivered_packets,
+    delivered_bits,
+    flows,
+    drops_buffer,
+    drops_mac,
+    residual_packets,
+    handshakes,
+    radio_wakeups,
+    collisions,
+    node_deaths,
+    first_death,
+    partition,
+    delivered_before_first_death,
+    generated_before_first_death
+});
 
 impl Metrics {
     /// Records a generated packet. `alive_prefix` says whether the whole

@@ -163,6 +163,16 @@ pub struct Cumulative {
     pub low_sleep_j: f64,
 }
 
+bcp_sim::persist!(Cumulative {
+    gen_p,
+    gen_b,
+    del_p,
+    del_b,
+    energy_j,
+    low_idle_j,
+    low_sleep_j
+});
+
 /// One pass over the shards collecting the cumulative series quantities
 /// at a sample instant. Per-node energy contributions are gathered
 /// id-indexed and folded in id order at the end — the same accumulation

@@ -46,7 +46,7 @@ pub(crate) fn trace_class(class: Class) -> TraceClass {
 }
 
 /// One transmission currently on the air, tracked at its sender's shard.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActiveTx {
     /// The transmitting node.
     pub sender: NodeId,
@@ -55,6 +55,12 @@ pub struct ActiveTx {
     /// The frame being transmitted.
     pub frame: MacFrame,
 }
+
+bcp_sim::persist!(ActiveTx {
+    sender,
+    class,
+    frame
+});
 
 /// One shard's complete mutable state.
 #[derive(Debug)]

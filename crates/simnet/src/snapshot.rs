@@ -1,6 +1,24 @@
-//! Exact world checkpointing: capture a paused simulation as a plain
-//! data structure, restore it later — under any shard count — and
-//! continue bit-identically.
+//! Exact world checkpointing: capture a paused simulation, restore it
+//! later — under any shard count — and continue bit-identically.
+//!
+//! # One representation
+//!
+//! A [`WorldState`] holds the runtime values themselves: every node's
+//! [`NodeState`] (MACs, radios, BCP machines, workload, battery, as
+//! cloned from the shards), plus containers only for state that has no
+//! per-object runtime struct — a node's [`ChannelSlot`]s of the
+//! struct-of-arrays channels, the series grid position
+//! ([`SeriesSnapshot`]) and the shadowing offsets ([`ShadowSnapshot`]).
+//! Each type persists itself through [`Persist`], implemented beside the
+//! type, so adding a field means editing one struct and its one codec.
+//!
+//! Decoding builds blank nodes from the checkpoint's embedded scenario
+//! with the constructor [`World::build`](crate::world::World::build)
+//! uses ([`WorldState::blank`]) and loads the run state into them. A
+//! frame that does not fit its scenario — a wrong node count or id, a
+//! high radio or battery the scenario does not build, a pause past the
+//! horizon, a pending event keyed before the pause — is a
+//! [`DecodeError`], so a world that loads also restores.
 //!
 //! # The exactness contract
 //!
@@ -33,35 +51,30 @@
 //!   single-shard stepper, checking liveness/energy invariants in each
 //!   interleaving.
 
-use crate::channel::Channel;
 use crate::events::{Class, Ev, GlobalEv, Payload, TxId};
 use crate::fate::{delivered_flows, settled_losses, FateBook};
 use crate::metrics::Metrics;
 use crate::node::NodeState;
-use crate::routes::{Control, SeriesState, SharedNet};
+use crate::routes::{initial_shared, Control, SeriesState, SharedNet};
 use crate::scenario::{HighRoute, Scenario};
 use crate::shard::ShardState;
 use crate::world::{LiveWorld, RunOptions, Scaffold};
-use bcp_core::receiver::{BcpReceiver, ReceiverSnapshot};
-use bcp_core::sender::{BcpSender, SenderSnapshot};
-use bcp_mac::csma::{CsmaMac, MacConfig, MacSnapshot};
 use bcp_mac::types::{FrameKind, MacAddr};
 use bcp_net::addr::{AddrMap, HighAddr, LowAddr, NodeId};
-use bcp_net::loss::LossState;
-use bcp_net::routing::{Dissemination, RouteWeight, Routes, ShortcutTable};
+use bcp_net::propagation::PhysModel;
+use bcp_net::routing::{Dissemination, RouteWeight, Routes};
 use bcp_power::{BatteryModel, PowerConfig, PowerSupply};
-use bcp_radio::device::{Radio, RadioState};
-use bcp_radio::energy::{EnergyBucket, EnergyLedger};
-use bcp_radio::profile::RadioProfile;
-use bcp_radio::units::{Energy, Power};
+use bcp_radio::device::RadioState;
 use bcp_sim::conservative::{EngineCounters, SingleStepper};
 use bcp_sim::keyed::{EvKey, Keyed, ShardQueue};
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
+use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::TraceRecord;
-use bcp_traffic::Workload;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+pub use crate::channel::ChannelSlot;
 pub use crate::fate::{Fate, FateKey, FateMark, FlowKey};
 pub use crate::routes::Cumulative;
 pub use crate::shard::ActiveTx;
@@ -70,92 +83,11 @@ pub use crate::shard::ActiveTx;
 // The captured state
 // ---------------------------------------------------------------------
 
-/// One radio's captured registers: the power state plus the energy
-/// ledger's raw accumulators.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RadioSnapshot {
-    /// The radio's power state at the pause.
-    pub state: RadioState,
-    /// The ledger's per-bucket accumulated energy.
-    pub buckets: [Energy; 7],
-    /// When the ledger's open bucket started accumulating.
-    pub since: SimTime,
-    /// The draw of the open bucket.
-    pub power: Power,
-    /// Which bucket is open.
-    pub bucket: EnergyBucket,
-}
-
-/// One node's slice of one radio class's medium: carrier count,
-/// reception lock, loss-process state, and the node-local loss RNG
-/// stream. The loss *model* is configuration and lives in the
-/// scenario; only its per-node runtime state is captured here.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelSlot {
-    /// Audible foreign transmissions at the pause.
-    pub carrier: u32,
-    /// The frame the receiver is locked onto, with its corruption flag.
-    pub rx_current: Option<(TxId, bool)>,
-    /// The loss process's per-node runtime state.
-    pub loss: LossState,
-    /// The raw xoshiro state of the node's loss stream.
-    pub rng: [u64; 4],
-    /// Audible transmissions with their received powers (mW), in
-    /// arrival order. Empty under the disk model, which tracks only
-    /// the carrier count.
-    pub audible: Vec<(TxId, f64)>,
-}
-
-/// One node's complete captured state, indexed by global node id.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeSnapshot {
-    /// The node.
-    pub id: NodeId,
-    /// Low-radio MAC registers.
-    pub low_mac: MacSnapshot,
-    /// Low radio power state and ledger.
-    pub low_radio: RadioSnapshot,
-    /// High-radio MAC registers (models with a high radio only).
-    pub high_mac: Option<MacSnapshot>,
-    /// High radio power state and ledger.
-    pub high_radio: Option<RadioSnapshot>,
-    /// BCP sender machine (dual-radio model only).
-    pub bcp_tx: Option<SenderSnapshot>,
-    /// BCP receiver machine (dual-radio model only).
-    pub bcp_rx: Option<ReceiverSnapshot>,
-    /// The traffic source, cloned whole (it is plain state + an RNG).
-    pub workload: Option<Workload>,
-    /// Bytes of the due-but-unqueued arrival (see `Ev::AppArrival`).
-    pub pending_bytes: usize,
-    /// Application packet sequence counter.
-    pub app_seq: u64,
-    /// Transmission id sequence counter.
-    pub tx_seq: u64,
-    /// Payload tag sequence counter.
-    pub tag_seq: u64,
-    /// High-radio power votes held.
-    pub high_refs: u32,
-    /// Bursts waiting for the high radio to finish powering up.
-    pub wake_pending: Vec<bcp_core::msg::BurstId>,
-    /// Accumulated header-overhear energy attribution.
-    pub header_overhear: Energy,
-    /// Learned high-radio shortcut table.
-    pub shortcuts: ShortcutTable,
-    /// Promiscuous-listen deadline for shortcut learning.
-    pub listen_until: SimTime,
-    /// Battery registers `(drawn, synced)`; `None` on mains power.
-    pub supply: Option<(Energy, Energy)>,
-    /// When the node died, if it did.
-    pub died_at: Option<SimTime>,
-    /// The node's medium slots, low class then high class.
-    pub channels: [ChannelSlot; 2],
-}
-
 /// The series sampler's captured grid position. The emitted samples are
 /// *not* captured — they were already delivered to whoever ran the first
 /// segment — only the baseline needed to continue the delta stream
 /// without re-emitting or skewing anything.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SeriesSnapshot {
     /// The sampling interval.
     pub every: SimDuration,
@@ -166,6 +98,22 @@ pub struct SeriesSnapshot {
     /// Cumulative totals at the last emitted sample — the baseline the
     /// next delta subtracts from.
     pub prev: Cumulative,
+}
+
+/// The fields in declaration order; the interval must be positive.
+impl Persist for SeriesSnapshot {
+    fn save(&self, e: &mut Enc) {
+        (self.every, self.next, self.last).save(e);
+        self.prev.save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        (self.every, self.next, self.last) = d.read()?;
+        self.prev.load(d)?;
+        if self.every.is_zero() {
+            return Err(DecodeError::new("a series sampled every 0 s"));
+        }
+        Ok(())
+    }
 }
 
 /// The received-power layer's captured randomness: the per-link
@@ -181,12 +129,34 @@ pub struct ShadowSnapshot {
     pub low: Vec<f64>,
     /// Per-unordered-pair shadowing offsets (dB) for the high class.
     pub high: Vec<f64>,
-    /// The shadow stream's raw xoshiro state after both draws.
-    pub rng: [u64; 4],
+    /// The shadow stream after both draws.
+    pub rng: Rng,
 }
 
-/// A complete, paused simulation as plain data: the capture side of
-/// exact checkpointing. Everything is keyed by global node id or by
+/// Both offset lists, then the stream. Each list must hold one finite
+/// offset per node pair of the world loaded into.
+impl Persist for ShadowSnapshot {
+    fn save(&self, e: &mut Enc) {
+        self.low.save(e);
+        self.high.save(e);
+        self.rng.save(e);
+    }
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        for offsets in [&mut self.low, &mut self.high] {
+            let pairs = offsets.len();
+            offsets.load(d)?;
+            if offsets.len() != pairs || offsets.iter().any(|v| !v.is_finite()) {
+                return Err(DecodeError::new(format!(
+                    "shadowing offsets must be {pairs} finite values"
+                )));
+            }
+        }
+        self.rng.load(d)
+    }
+}
+
+/// A complete, paused simulation: the capture side of exact
+/// checkpointing. Everything is keyed by global node id or by
 /// shard-count-independent event identity, so the same `WorldState`
 /// restores under any shard count.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,8 +170,9 @@ pub struct WorldState {
     pub events_logical: u64,
     /// Global (coordinator) events executed so far.
     pub global_events: u64,
-    /// Every node's state, in node-id order, one entry per node.
-    pub nodes: Vec<NodeSnapshot>,
+    /// Every node, in node-id order, with its slots of the low and the
+    /// high channel.
+    pub nodes: Vec<(NodeState, [ChannelSlot; 2])>,
     /// The canonical pending shard events, sorted by key, with the
     /// per-shard halves of each reception fan-out merged back into one
     /// entry (the restore re-fans them out under the new partition).
@@ -250,6 +221,167 @@ impl WorldState {
         let mut out = self.clone();
         out.scen.shards = shards;
         out
+    }
+
+    /// The blank world of `scen` that a decoder loads a checkpoint's run
+    /// state into: every node as [`World::build`] constructs it (with
+    /// placeholder RNG streams), idle channel slots, the initial routes,
+    /// and the shadowing present exactly under a received-power model.
+    ///
+    /// [`World::build`]: crate::world::World::build
+    pub fn blank(scen: Scenario) -> WorldState {
+        let n = scen.topo.len();
+        let addr = AddrMap::for_nodes(n);
+        let mut rng = Rng::new(scen.seed);
+        let nodes = scen
+            .topo
+            .nodes()
+            .map(|id| {
+                let node = NodeState::new(&scen, &addr, id, &mut rng);
+                (node, [ChannelSlot::idle(), ChannelSlot::idle()])
+            })
+            .collect();
+        let shared = initial_shared(&scen);
+        let pairs = n * n.saturating_sub(1) / 2;
+        let shadow = matches!(scen.phys, PhysModel::LogNormal { .. }).then(|| ShadowSnapshot {
+            low: vec![0.0; pairs],
+            high: vec![0.0; pairs],
+            rng: Rng::new(1),
+        });
+        WorldState {
+            time: SimTime::ZERO,
+            events_logical: 0,
+            global_events: 0,
+            nodes,
+            pending: Vec::new(),
+            pending_globals: Vec::new(),
+            payloads: Vec::new(),
+            txs: Vec::new(),
+            lpl_audible: Vec::new(),
+            delivered: Vec::new(),
+            lost: Vec::new(),
+            collisions: 0,
+            metrics: Metrics::default(),
+            low_routes: shared.low_routes.clone(),
+            high_routes: shared.high_routes.clone(),
+            alive: shared.alive.clone(),
+            death_seen: false,
+            dissem: shared.dissem.clone(),
+            series: None,
+            shadow,
+            scen,
+        }
+    }
+}
+
+/// Everything but the scenario, which the checkpoint frame embeds as
+/// `.scn` text ahead of it: the state loads into
+/// [`WorldState::blank`] of that scenario, which bounds every node id
+/// and fixes which parts each node has.
+impl Persist for WorldState {
+    fn save(&self, e: &mut Enc) {
+        (self.time, self.events_logical, self.global_events).save(e);
+        e.len(self.nodes.len());
+        for node in &self.nodes {
+            node.save(e);
+        }
+        self.pending.save(e);
+        self.pending_globals.save(e);
+        self.payloads.save(e);
+        self.txs.save(e);
+        self.lpl_audible.save(e);
+        e.len(self.delivered.len());
+        for (flow, words) in &self.delivered {
+            flow.save(e);
+            e.len(words.len());
+            for &w in words {
+                e.fixed64(w);
+            }
+        }
+        self.lost.save(e);
+        self.collisions.save(e);
+        self.metrics.save(e);
+        self.low_routes.save(e);
+        self.high_routes.save(e);
+        self.alive.save(e);
+        self.death_seen.save(e);
+        e.present(&self.dissem);
+        self.series.save(e);
+        e.present(&self.shadow);
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        let n = self.nodes.len();
+        d.limit_ids(n);
+        let end = self.scen.end_time();
+        (self.time, self.events_logical, self.global_events) = d.read()?;
+        if self.time > end {
+            return Err(DecodeError::new(format!(
+                "pause {} is past the horizon {end}",
+                self.time
+            )));
+        }
+        let got = d.len()?;
+        if got != n {
+            return Err(DecodeError::new(format!(
+                "{got} nodes for a scenario of {n}"
+            )));
+        }
+        for node in &mut self.nodes {
+            node.load(d)?;
+        }
+        (self.pending, self.pending_globals) = d.read()?;
+        let keys = self.pending.iter().map(|e| e.0);
+        if let Some(k) = keys
+            .chain(self.pending_globals.iter().map(|e| e.0))
+            .find(|k| k.time < self.time)
+        {
+            return Err(DecodeError::new(format!(
+                "an event pending at {} precedes the pause {}",
+                k.time, self.time
+            )));
+        }
+        (self.payloads, self.txs, self.lpl_audible) = d.read()?;
+        let owners = self.payloads.iter().map(|e| e.0 >> 40);
+        for id in owners
+            .chain(self.txs.iter().map(|e| e.0 >> 40))
+            .chain(self.lpl_audible.iter().map(|e| e.0 as u64))
+        {
+            d.check_id(id)?;
+        }
+        let flows = d.len()?;
+        self.delivered.clear();
+        for _ in 0..flows {
+            let flow: FlowKey = d.read()?;
+            let words = (0..d.len()?)
+                .map(|_| d.fixed64())
+                .collect::<Result<Vec<u64>, _>>()?;
+            if words.last() == Some(&0) {
+                return Err(DecodeError::new(format!(
+                    "flow {flow:?} bitmap ends in a zero word"
+                )));
+            }
+            self.delivered.push((flow, words));
+        }
+        (self.lost, self.collisions, self.metrics) = d.read()?;
+        let dests = self.delivered.iter().map(|e| e.0);
+        for (origin, dest) in dests.chain(self.lost.iter().map(|e| ((e.0 .0 >> 40) as u32, e.0 .1)))
+        {
+            d.check_id(origin as u64)?;
+            d.check_id(dest as u64)?;
+        }
+        self.low_routes.load(d)?;
+        self.high_routes.load(d)?;
+        (self.alive, self.death_seen) = d.read()?;
+        if self.alive.len() != n {
+            return Err(DecodeError::new(format!(
+                "{} liveness flags for a scenario of {n} nodes",
+                self.alive.len()
+            )));
+        }
+        d.present(&mut self.dissem, "dissemination tree")?;
+        self.series.load(d)?;
+        d.present(&mut self.shadow, "shadowing map")
     }
 }
 
@@ -300,12 +432,12 @@ pub(crate) fn capture(lw: &LiveWorld) -> WorldState {
         .map(|(k, e)| (k, e.clone()))
         .collect();
 
-    let nodes: Vec<NodeSnapshot> = (0..n)
+    let nodes = (0..n)
         .map(|i| {
             let id = NodeId(i as u32);
             let shard = &lw.shards[scaf.part.shard_of(id)].0;
-            let node = shard.nodes[i].as_ref().expect("owner has the node");
-            capture_node(node, shard)
+            let node = shard.nodes[i].clone().expect("owner has the node");
+            (node, [shard.chans[0].slot(id), shard.chans[1].slot(id)])
         })
         .collect();
 
@@ -365,62 +497,13 @@ pub(crate) fn capture(lw: &LiveWorld) -> WorldState {
             (Some(low), Some(high)) => Some(ShadowSnapshot {
                 low: low.shadow.offsets().to_vec(),
                 high: high.shadow.offsets().to_vec(),
-                rng: scaf
-                    .shadow_rng_state
-                    .expect("received-power scaffold records its shadow stream"),
+                rng: Rng::from_state(
+                    scaf.shadow_rng_state
+                        .expect("received-power scaffold records its shadow stream"),
+                ),
             }),
             _ => None,
         },
-    }
-}
-
-fn capture_radio(r: &Radio) -> RadioSnapshot {
-    let (buckets, since, power, bucket) = r.ledger().raw_parts();
-    RadioSnapshot {
-        state: r.state(),
-        buckets,
-        since,
-        power,
-        bucket,
-    }
-}
-
-fn capture_slot(c: &Channel, id: NodeId) -> ChannelSlot {
-    let (carrier, rx_current, loss, rng) = c.node_state(id);
-    ChannelSlot {
-        carrier,
-        rx_current,
-        loss,
-        rng,
-        audible: c.audible_of(id).to_vec(),
-    }
-}
-
-fn capture_node(n: &NodeState, shard: &ShardState) -> NodeSnapshot {
-    NodeSnapshot {
-        id: n.id,
-        low_mac: n.low_mac.snapshot_state(),
-        low_radio: capture_radio(&n.low_radio),
-        high_mac: n.high_mac.as_ref().map(CsmaMac::snapshot_state),
-        high_radio: n.high_radio.as_ref().map(capture_radio),
-        bcp_tx: n.bcp_tx.as_ref().map(BcpSender::snapshot_state),
-        bcp_rx: n.bcp_rx.as_ref().map(BcpReceiver::snapshot_state),
-        workload: n.workload.clone(),
-        pending_bytes: n.pending_bytes,
-        app_seq: n.app_seq,
-        tx_seq: n.tx_seq,
-        tag_seq: n.tag_seq,
-        high_refs: n.high_refs,
-        wake_pending: n.wake_pending.clone(),
-        header_overhear: n.header_overhear,
-        shortcuts: n.shortcuts.clone(),
-        listen_until: n.listen_until,
-        supply: n.supply.as_ref().map(|s| (s.battery().drawn(), s.synced())),
-        died_at: n.died_at,
-        channels: [
-            capture_slot(&shard.chans[0], n.id),
-            capture_slot(&shard.chans[1], n.id),
-        ],
     }
 }
 
@@ -491,19 +574,12 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
         })
         .collect();
 
-    for snap in &state.nodes {
-        let (s, _) = &mut shards[part.shard_of(snap.id)];
-        for (ci, slot) in snap.channels.iter().enumerate() {
-            s.chans[ci].restore_node_state(
-                snap.id,
-                slot.carrier,
-                slot.rx_current,
-                slot.loss,
-                slot.rng,
-                slot.audible.clone(),
-            );
+    for (node, slots) in &state.nodes {
+        let (s, _) = &mut shards[part.shard_of(node.id)];
+        for (chan, slot) in s.chans.iter_mut().zip(slots) {
+            chan.set_slot(node.id, slot.clone());
         }
-        s.nodes[snap.id.index()] = Some(restore_node(&scen, &scaf.addr, snap));
+        s.nodes[node.id.index()] = Some(node.clone());
     }
 
     // Whole-run cumulative scalars land on shard 0: the finaliser sums
@@ -735,80 +811,6 @@ fn schedule_restored(s: &mut ShardState, q: &mut ShardQueue<Ev>, key: EvKey, ev:
     }
 }
 
-fn restore_radio(profile: &RadioProfile, s: &RadioSnapshot) -> Radio {
-    let mut r = Radio::new(profile.clone(), RadioState::Idle, SimTime::ZERO);
-    r.restore_state(
-        s.state,
-        EnergyLedger::from_raw_parts(s.buckets, s.since, s.power, s.bucket),
-    );
-    r
-}
-
-fn restore_node(scen: &Scenario, addr: &AddrMap, snap: &NodeSnapshot) -> NodeState {
-    let id = snap.id;
-    let mut low_mac = CsmaMac::new(
-        MacConfig::sensor_csma(&scen.low_profile)
-            .with_wakeup_preamble(scen.low_sleep.tx_preamble()),
-        MacAddr(addr.low_of(id).0 as u64),
-        1, // placeholder seed; restore_state overwrites the stream
-    );
-    low_mac.restore_state(&snap.low_mac);
-    let high_mac = snap.high_mac.as_ref().map(|m| {
-        let mut mac = CsmaMac::new(
-            MacConfig::dot11b(&scen.high_profile),
-            MacAddr(addr.high_of(id).0),
-            1,
-        );
-        mac.restore_state(m);
-        mac
-    });
-    let bcp_tx = snap.bcp_tx.as_ref().map(|t| {
-        let mut tx = BcpSender::new(id, scen.bcp.clone());
-        tx.restore_state(t);
-        tx
-    });
-    let bcp_rx = snap.bcp_rx.as_ref().map(|r| {
-        let mut rx = BcpReceiver::new(id, scen.bcp.clone());
-        rx.restore_state(r);
-        rx
-    });
-    let battery = scen.power.battery_for(id.index(), id == scen.sink);
-    assert_eq!(
-        snap.supply.is_some(),
-        battery.is_some(),
-        "snapshot and scenario disagree on node {id}'s power source"
-    );
-    let supply = snap.supply.as_ref().map(|&(drawn, synced)| {
-        let mut sup = PowerSupply::new(battery.expect("checked above"));
-        sup.restore_state(drawn, synced);
-        sup
-    });
-    NodeState {
-        id,
-        low_mac,
-        low_radio: restore_radio(&scen.low_profile, &snap.low_radio),
-        high_mac,
-        high_radio: snap
-            .high_radio
-            .as_ref()
-            .map(|r| restore_radio(&scen.high_profile, r)),
-        bcp_tx,
-        bcp_rx,
-        workload: snap.workload.clone(),
-        pending_bytes: snap.pending_bytes,
-        app_seq: snap.app_seq,
-        tx_seq: snap.tx_seq,
-        tag_seq: snap.tag_seq,
-        high_refs: snap.high_refs,
-        wake_pending: snap.wake_pending.clone(),
-        header_overhear: snap.header_overhear,
-        shortcuts: snap.shortcuts.clone(),
-        listen_until: snap.listen_until,
-        supply,
-        died_at: snap.died_at,
-    }
-}
-
 // ---------------------------------------------------------------------
 // Forked sweeps
 // ---------------------------------------------------------------------
@@ -878,14 +880,14 @@ pub fn fork_with_power(state: &WorldState, power: PowerConfig) -> Result<WorldSt
     if state.metrics.node_deaths > 0 || state.death_seen || state.alive.iter().any(|&a| !a) {
         return Err(ForkError::DeathInPrefix);
     }
-    if state.nodes.iter().any(|n| n.supply.is_some()) {
+    if state.nodes.iter().any(|(n, _)| n.supply.is_some()) {
         return Err(ForkError::PoweredPrefix);
     }
     let mut out = state.clone();
     out.scen.power = power;
     let t = out.time;
     let mut injected: Vec<(EvKey, Ev)> = Vec::new();
-    for node in &mut out.nodes {
+    for (node, _) in &mut out.nodes {
         let Some(batt) = out
             .scen
             .power
@@ -893,11 +895,15 @@ pub fn fork_with_power(state: &WorldState, power: PowerConfig) -> Result<WorldSt
         else {
             continue;
         };
-        let metered = prefix_metered(node, t);
+        // Charge the whole metered prefix in one sync: the battery draws
+        // exactly the meter reading, and the supply is synced to it.
+        let metered = node.metered_total(t);
         if metered >= batt.capacity() {
             return Err(ForkError::PrefixExceedsBattery { node: node.id.0 });
         }
-        node.supply = Some((metered, metered));
+        let mut supply = PowerSupply::new(batt);
+        supply.sync_to(metered);
+        node.supply = Some(supply);
         let ev = Ev::PowerCheck { node: node.id };
         injected.push((
             EvKey {
@@ -911,21 +917,6 @@ pub fn fork_with_power(state: &WorldState, power: PowerConfig) -> Result<WorldSt
     out.pending.extend(injected);
     out.pending.sort_by_key(|e| e.0);
     Ok(out)
-}
-
-/// What a node's radios metered through the prefix, folded low then high
-/// exactly as [`NodeState::metered_total`] folds it.
-fn prefix_metered(node: &NodeSnapshot, t: SimTime) -> Energy {
-    let total = |r: &RadioSnapshot| {
-        EnergyLedger::from_raw_parts(r.buckets, r.since, r.power, r.bucket)
-            .snapshot(t)
-            .total()
-    };
-    let mut e = total(&node.low_radio);
-    if let Some(hr) = &node.high_radio {
-        e += total(hr);
-    }
-    e
 }
 
 // ---------------------------------------------------------------------

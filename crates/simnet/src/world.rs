@@ -24,13 +24,10 @@ use crate::node::NodeState;
 use crate::routes::{initial_shared, Control, SeriesScan, SeriesState};
 use crate::scenario::{ModelKind, Scenario};
 use crate::shard::ShardState;
-use bcp_mac::csma::{CsmaMac, MacConfig};
-use bcp_mac::types::MacAddr;
 use bcp_net::addr::AddrMap;
 use bcp_net::partition::Partition;
 use bcp_net::propagation::{dbm_to_mw, PathLoss, PhysModel, ShadowMap, SHADOW_CLAMP_SIGMAS};
-use bcp_power::{BatteryModel, PowerSupply};
-use bcp_radio::device::{Radio, RadioState};
+use bcp_power::BatteryModel;
 use bcp_radio::units::Energy;
 use bcp_sim::conservative::{run_conservative, EngineCounters};
 use bcp_sim::keyed::ShardQueue;
@@ -124,79 +121,7 @@ impl World {
             None => scaf.end,
         };
         for id in scen.topo.nodes() {
-            // Under LPL every low-radio data frame is stretched by the
-            // schedule's wake-up preamble (zero when always on, keeping
-            // pre-LPL scenarios bit-identical).
-            let low_mac = CsmaMac::new(
-                MacConfig::sensor_csma(&scen.low_profile)
-                    .with_wakeup_preamble(scen.low_sleep.tx_preamble()),
-                MacAddr(addr.low_of(id).0 as u64),
-                rng.next_u64(),
-            );
-            let low_radio = Radio::new(scen.low_profile.clone(), RadioState::Idle, t0);
-            let (high_mac, high_radio, high_refs) = match scen.model {
-                ModelKind::Sensor => (None, None, 0),
-                ModelKind::Dot11 => (
-                    Some(CsmaMac::new(
-                        MacConfig::dot11b(&scen.high_profile),
-                        MacAddr(addr.high_of(id).0),
-                        rng.next_u64(),
-                    )),
-                    Some(Radio::new(scen.high_profile.clone(), RadioState::Idle, t0)),
-                    1,
-                ),
-                ModelKind::DualRadio => (
-                    Some(CsmaMac::new(
-                        MacConfig::dot11b(&scen.high_profile),
-                        MacAddr(addr.high_of(id).0),
-                        rng.next_u64(),
-                    )),
-                    Some(Radio::new(scen.high_profile.clone(), RadioState::Off, t0)),
-                    0,
-                ),
-            };
-            let (bcp_tx, bcp_rx) = if scen.model == ModelKind::DualRadio {
-                (
-                    Some(bcp_core::sender::BcpSender::new(id, scen.bcp.clone())),
-                    Some(bcp_core::receiver::BcpReceiver::new(id, scen.bcp.clone())),
-                )
-            } else {
-                (None, None)
-            };
-            let workload = if scen.senders.contains(&id) {
-                let w = scen.make_workload(rng.next_u64());
-                // Random phase so CBR senders do not tick in lock-step.
-                let interval = scen.packet_bytes as f64 * 8.0 / scen.rate_bps;
-                let phase = SimDuration::from_secs_f64(rng.f64() * interval);
-                Some(w.with_phase(phase))
-            } else {
-                None
-            };
-            let supply = scen
-                .power
-                .battery_for(id.index(), id == scen.sink)
-                .map(PowerSupply::new);
-            let mut node = NodeState {
-                id,
-                low_mac,
-                low_radio,
-                high_mac,
-                high_radio,
-                bcp_tx,
-                bcp_rx,
-                workload,
-                pending_bytes: 0,
-                app_seq: 0,
-                tx_seq: 0,
-                tag_seq: 0,
-                high_refs,
-                wake_pending: Vec::new(),
-                header_overhear: Energy::ZERO,
-                shortcuts: bcp_net::routing::ShortcutTable::new(),
-                listen_until: SimTime::ZERO,
-                supply,
-                died_at: None,
-            };
+            let mut node = NodeState::new(&scen, &addr, id, &mut rng);
             // Seed the node's initial events into its owning shard.
             let (state, queue) = &mut shards[part.shard_of(id)];
             if let Some(w) = node.workload.as_mut() {

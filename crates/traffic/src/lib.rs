@@ -27,6 +27,7 @@
 #![warn(missing_debug_implementations)]
 
 use bcp_net::addr::NodeId;
+use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 
@@ -168,6 +169,96 @@ pub enum Workload {
     },
 }
 
+/// Tag `0` is CBR, `1` Poisson, `2` on/off, each followed by its fields
+/// in declaration order. The kind and its sizes and intervals are the
+/// scenario's and must match the workload loaded into; the arrival clock
+/// and the sampler stream are run state.
+impl Persist for Workload {
+    fn save(&self, e: &mut Enc) {
+        match self {
+            Workload::Cbr {
+                packet_bytes,
+                interval,
+                next_at,
+            } => {
+                e.u8(0);
+                (*packet_bytes, *interval, *next_at).save(e);
+            }
+            Workload::Poisson {
+                packet_bytes,
+                mean_interval,
+                next_at,
+                rng,
+            } => {
+                e.u8(1);
+                (*packet_bytes, *mean_interval, *next_at).save(e);
+                rng.save(e);
+            }
+            Workload::OnOffBursty {
+                packet_bytes,
+                interval,
+                mean_on,
+                mean_off,
+                next_at,
+                on_until,
+                rng,
+            } => {
+                e.u8(2);
+                (*packet_bytes, *interval, *mean_on).save(e);
+                (*mean_off, *next_at, *on_until).save(e);
+                rng.save(e);
+            }
+        }
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        let rng = |d: &mut Dec<'_>| {
+            let mut r = Rng::new(1);
+            r.load(d).map(|()| r)
+        };
+        let w = match d.u8()? {
+            0 => {
+                let (packet_bytes, interval, next_at) = d.read()?;
+                Workload::Cbr {
+                    packet_bytes,
+                    interval,
+                    next_at,
+                }
+            }
+            1 => {
+                let (packet_bytes, mean_interval, next_at) = d.read()?;
+                Workload::Poisson {
+                    packet_bytes,
+                    mean_interval,
+                    next_at,
+                    rng: rng(d)?,
+                }
+            }
+            2 => {
+                let (packet_bytes, interval, mean_on) = d.read()?;
+                let (mean_off, next_at, on_until) = d.read()?;
+                Workload::OnOffBursty {
+                    packet_bytes,
+                    interval,
+                    mean_on,
+                    mean_off,
+                    next_at,
+                    on_until,
+                    rng: rng(d)?,
+                }
+            }
+            b => return Err(DecodeError::new(format!("invalid workload tag {b}"))),
+        };
+        if w.config() != self.config() {
+            return Err(DecodeError::new(
+                "the payload's workload differs from the scenario's",
+            ));
+        }
+        *self = w;
+        Ok(())
+    }
+}
+
 impl Workload {
     /// CBR with an explicit packet size and interval.
     ///
@@ -242,6 +333,42 @@ impl Workload {
             next_at: SimTime::ZERO + interval,
             on_until: SimTime::ZERO + on,
             rng,
+        }
+    }
+
+    /// The kind and configuration: everything but the arrival clock and
+    /// the sampler stream.
+    fn config(&self) -> (u8, usize, SimDuration, SimDuration, SimDuration) {
+        match *self {
+            Workload::Cbr {
+                packet_bytes,
+                interval,
+                ..
+            } => (
+                0,
+                packet_bytes,
+                interval,
+                SimDuration::ZERO,
+                SimDuration::ZERO,
+            ),
+            Workload::Poisson {
+                packet_bytes,
+                mean_interval,
+                ..
+            } => (
+                1,
+                packet_bytes,
+                mean_interval,
+                SimDuration::ZERO,
+                SimDuration::ZERO,
+            ),
+            Workload::OnOffBursty {
+                packet_bytes,
+                interval,
+                mean_on,
+                mean_off,
+                ..
+            } => (2, packet_bytes, interval, mean_on, mean_off),
         }
     }
 
