@@ -250,6 +250,24 @@ mod tests {
         AppPacket::new(NodeId(origin), NodeId(0), seq, SimTime::ZERO, 32)
     }
 
+    /// Contents over the capacity of the buffer loaded into are refused;
+    /// within it they load with their byte tallies recomputed.
+    #[test]
+    fn load_refuses_contents_over_capacity() {
+        let mut big = NextHopBuffers::new(1024);
+        for seq in 0..3 {
+            assert!(big.push(NodeId(9), pkt(1, seq)));
+        }
+        let mut e = Enc::new();
+        big.save(&mut e);
+        let bytes = e.into_bytes();
+        assert!(NextHopBuffers::new(64).load(&mut Dec::new(&bytes)).is_err());
+        let mut back = NextHopBuffers::new(1024);
+        back.load(&mut Dec::new(&bytes)).expect("fits");
+        assert_eq!(back, big);
+        back.check_conservation();
+    }
+
     #[test]
     fn fifo_order_preserved() {
         let mut b = NextHopBuffers::new(10_000);

@@ -158,6 +158,20 @@ mod tests {
         AppPacket::new(NodeId(1), NodeId(0), seq, SimTime::ZERO, bytes)
     }
 
+    /// The bitmap's length is the advertised frame count: an empty one is
+    /// refused, a non-empty one loads with its tallies.
+    #[test]
+    fn load_refuses_an_empty_bitmap() {
+        let mut r = Reassembly::new(BurstId(3), 1);
+        assert!(r.load(&mut Dec::new(&[0, 0, 0])).is_err());
+        r.load(&mut Dec::new(&[2, 1, 0, 5, 64]))
+            .expect("two frames");
+        assert_eq!(
+            (r.frames_missing(), r.packets_received(), r.bytes_received()),
+            (1, 5, 64)
+        );
+        assert_eq!(r.burst(), BurstId(3));
+    }
     #[test]
     fn packs_exactly_32_per_1024_frame() {
         // The paper's sizes: 32 packets of 32 B fill one 1024 B frame.

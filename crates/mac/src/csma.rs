@@ -1051,6 +1051,33 @@ mod quiescence_tests {
     use super::*;
     use bcp_radio::profile::lucent_11m;
 
+    /// The access byte and the backoff stream are private registers: a
+    /// crafted payload that puts a discriminant outside the tag table or
+    /// an all-zero stream in them is refused, not loaded.
+    #[test]
+    fn load_refuses_a_bad_access_byte_and_a_dead_stream() {
+        let built = || CsmaMac::new(MacConfig::dot11b(&lucent_11m()), MacAddr(1), 7);
+        let mut mac = built();
+        mac.make_data(MacAddr(2), 64, 9);
+        let mut e = Enc::new();
+        mac.save(&mut e);
+        let good = e.into_bytes();
+        let mut back = built();
+        back.load(&mut Dec::new(&good)).expect("a saved MAC loads");
+        assert_eq!(back, mac);
+
+        // The stream is four varints; the access byte follows it.
+        let mut e = Enc::new();
+        mac.rng.save(&mut e);
+        let at = e.into_bytes().len();
+        let mut bad_access = good.clone();
+        bad_access[at] = 7;
+        assert!(built().load(&mut Dec::new(&bad_access)).is_err());
+        let mut dead_stream = vec![0u8; 4];
+        dead_stream.extend_from_slice(&good[at..]);
+        assert!(built().load(&mut Dec::new(&dead_stream)).is_err());
+    }
+
     #[test]
     fn quiescent_only_when_nothing_owed() {
         let mut mac = CsmaMac::new(MacConfig::dot11b(&lucent_11m()), MacAddr(1), 1);

@@ -650,10 +650,14 @@ fn execute_cell(
     };
     let ckpt = shared.store.ckpt_path(key);
     let (mut lw, resumed) = match bcp_snapshot::load_with_meta(&ckpt) {
-        Ok((state, _meta)) => (LiveWorld::restore(&state, &opts), true),
-        // No checkpoint (or an unreadable one — torn by a crash, say):
-        // start cold. Correctness never depends on the checkpoint.
-        Err(_) => (World::build(&scen, &opts), false),
+        // A checkpoint that decodes restores (decoding refuses states
+        // the restore would not accept), but only one of this very cell
+        // is resumed.
+        Ok((state, _meta)) if state.scen == scen => (LiveWorld::restore(&state, &opts), true),
+        // No checkpoint, an unreadable one (torn by a crash, say) or
+        // another scenario's: start cold. Correctness never depends on
+        // the checkpoint.
+        _ => (World::build(&scen, &opts), false),
     };
     let meta = RunMeta {
         series_every: Some(shared.grid),
@@ -818,6 +822,59 @@ mod tests {
         assert_eq!(st.next_job, 0, "no job id was spent");
         let manifests = std::fs::read_dir(shared.store.jobs_dir()).unwrap().count();
         assert_eq!(manifests, 0, "no manifest was written");
+        std::fs::remove_dir_all(shared.store.root()).ok();
+    }
+
+    /// The stats JSON without the wall-clock `.engine` block.
+    fn without_engine(stats: &str) -> bcp_sim::json::Value {
+        use bcp_sim::json::Value;
+        match bcp_sim::json::parse(stats).expect("stats are JSON") {
+            Value::Obj(fields) => {
+                Value::Obj(fields.into_iter().filter(|(k, _)| k != "engine").collect())
+            }
+            other => other,
+        }
+    }
+
+    #[test]
+    fn only_a_checkpoint_of_the_cell_itself_is_resumed() {
+        let shared = fresh("resume");
+        let spec = |seed: u64| CellSpec {
+            scn: format!("topo = grid:3:40.0\nsink = 0\nsenders = 8\nseed = {seed}\n"),
+            quality: "test".into(),
+            seed: 1,
+        };
+        let (key, _) = canonical_cells(&[spec(1)]).unwrap().remove(0);
+        let hash = key.hash_hex();
+        let run = || {
+            let (stats, resumed) = execute_cell(&shared, &hash, &key)
+                .expect("the cell runs")
+                .expect("no shutdown");
+            (without_engine(&stats), resumed)
+        };
+        // A world of `scn`, clamped like a test-quality cell, paused at 10 s.
+        let paused = |scn: &str| {
+            let mut scen = parse_spec(scn).unwrap();
+            scen.duration = scen.duration.min(SimDuration::from_secs(60));
+            let mut lw = World::build(&scen, &RunOptions::default());
+            lw.run_to(bcp_sim::time::SimTime::from_secs(10));
+            lw.snapshot()
+        };
+        let plant = |state: &bcp_simnet::WorldState| {
+            let bytes = bcp_snapshot::to_bytes(state).expect("encodes");
+            std::fs::write(shared.store.ckpt_path(&key), bytes).unwrap();
+        };
+
+        let (cold, resumed) = run();
+        assert!(!resumed, "no checkpoint yet");
+        plant(&paused(&key.scn));
+        assert_eq!(run(), (cold.clone(), true), "its own checkpoint resumes");
+        plant(&paused(&spec(2).scn));
+        assert_eq!(run(), (cold.clone(), false), "another seed's starts cold");
+        let mut unfit = paused(&key.scn);
+        unfit.nodes.pop();
+        plant(&unfit);
+        assert_eq!(run(), (cold, false), "one that does not fit starts cold");
         std::fs::remove_dir_all(shared.store.root()).ok();
     }
 

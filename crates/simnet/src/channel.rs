@@ -388,6 +388,38 @@ mod tests {
         Channel::new(3, &LossModel::Perfect, &[1, 2, 3])
     }
 
+    /// A slot round-trips through its codec, and a crafted one with an
+    /// all-zero loss stream or a negative received power is refused.
+    #[test]
+    fn slot_load_refuses_a_dead_stream_and_a_bad_power() {
+        let mut c = channel();
+        let n = NodeId(1);
+        c.audible_add(n, TxId(5), 0.25);
+        let slot = c.slot(n);
+        let mut e = Enc::new();
+        slot.save(&mut e);
+        let bytes = e.into_bytes();
+        let mut back = ChannelSlot::idle();
+        back.load(&mut Dec::new(&bytes))
+            .expect("a saved slot loads");
+        assert_eq!(back, slot);
+
+        let stream = |rng: [u64; 4], mw: f64| {
+            let mut e = Enc::new();
+            (0u32, None::<(TxId, bool)>, LossState::default()).save(&mut e);
+            for w in rng {
+                e.u64(w);
+            }
+            vec![(TxId(5), mw)].save(&mut e);
+            e.into_bytes()
+        };
+        let mut s = ChannelSlot::idle();
+        s.load(&mut Dec::new(&stream([0, 0, 3, 0], 0.5)))
+            .expect("a live stream");
+        assert!(s.load(&mut Dec::new(&stream([0; 4], 0.5))).is_err());
+        assert!(s.load(&mut Dec::new(&stream([1; 4], -1.0))).is_err());
+    }
+
     #[test]
     fn carrier_transitions() {
         let mut c = channel();

@@ -475,6 +475,92 @@ mod tests {
         ));
     }
 
+    /// Checksum-valid frames built from edited captures that do not fit
+    /// their scenario are typed decode errors, never states that panic
+    /// the restore. (Edits to private registers — the MAC access byte and
+    /// streams, a reassembly bitmap, a BCP buffer, a channel stream — are
+    /// covered by the crate-local tests that load crafted payloads.)
+    #[test]
+    fn frames_that_do_not_fit_their_scenario_are_decode_errors() {
+        use bcp_net::addr::NodeId;
+        use bcp_sim::keyed::EvKey;
+        use bcp_simnet::events::{Ev, GlobalEv};
+        let snap = snapshot_at(&dual_scenario(), 30);
+        let key = |time: SimTime| EvKey {
+            time,
+            ..EvKey::default()
+        };
+        type Edit = Box<dyn Fn(&mut WorldState)>;
+        let cases: Vec<(&str, Edit)> = vec![
+            ("one node dropped", Box::new(|w| drop(w.nodes.pop()))),
+            ("nodes out of order", Box::new(|w| w.nodes.swap(0, 1))),
+            (
+                "a pending arrival for node 999",
+                Box::new(move |w| {
+                    w.pending
+                        .push((key(w.time), Ev::AppArrival { node: NodeId(999) }))
+                }),
+            ),
+            (
+                "a pause at 10,000 s",
+                Box::new(|w| w.time = SimTime::from_secs(10_000)),
+            ),
+            (
+                "a supply on a mains node",
+                Box::new(|w| {
+                    w.nodes[3].0.supply =
+                        Some(bcp_power::PowerSupply::new(Battery::ideal_joules(1.0)))
+                }),
+            ),
+            (
+                "a dual-radio node without its high MAC",
+                Box::new(|w| w.nodes[4].0.high_mac = None),
+            ),
+            (
+                "a pending event keyed before the pause",
+                Box::new(move |w| {
+                    let before = SimTime::from_nanos(w.time.as_nanos() - 1);
+                    w.pending
+                        .insert(0, (key(before), Ev::Flush { node: NodeId(1) }))
+                }),
+            ),
+            (
+                "a pending global keyed before the pause",
+                Box::new(move |w| {
+                    w.pending_globals
+                        .push((key(SimTime::ZERO), GlobalEv::RouteRefresh))
+                }),
+            ),
+            (
+                "a transmission by node 999",
+                Box::new(|w| {
+                    w.txs.push((999 << 40, Default::default()));
+                }),
+            ),
+            ("a liveness flag too many", Box::new(|w| w.alive.push(true))),
+            (
+                "shadowing on a disk world",
+                Box::new(|w| {
+                    w.shadow = Some(bcp_simnet::snapshot::ShadowSnapshot {
+                        low: Vec::new(),
+                        high: Vec::new(),
+                        rng: bcp_sim::rng::Rng::new(1),
+                    })
+                }),
+            ),
+        ];
+        from_bytes(&to_bytes(&snap).expect("encodes")).expect("the capture itself decodes");
+        for (label, edit) in cases {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            let bytes = to_bytes(&bad).expect("encodes");
+            match from_bytes(&bytes) {
+                Err(SnapshotError::Decode(_)) => {}
+                other => panic!("{label}: expected a decode error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn shadowed_world_round_trips_with_its_offsets() {
         // A received-power scenario captures its per-link shadowing; the

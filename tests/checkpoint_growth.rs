@@ -13,10 +13,12 @@
 
 use bcp::net::addr::NodeId;
 use bcp::power::{Battery, PowerConfig};
+use bcp::sim::rng::Rng;
 use bcp::sim::time::{SimDuration, SimTime};
+use bcp::simnet::LiveWorld;
 use bcp::simnet::{parse_spec, HighRoute, ModelKind, RunOptions, Scenario, WorkloadKind, World};
 use bcp::snapshot::cache::sha256_hex;
-use bcp::snapshot::{to_bytes_with_meta, RunMeta};
+use bcp::snapshot::{from_bytes, to_bytes_with_meta, RunMeta};
 
 fn spec(name: &str) -> Scenario {
     let path = format!("{}/examples/specs/{name}.scn", env!("CARGO_MANIFEST_DIR"));
@@ -138,6 +140,83 @@ fn checkpoint_bytes_match_their_digests() {
         mismatched.is_empty() && got.lines().count() == golden.lines().count(),
         "checkpoint bytes changed:\n{}\nfull digest list:\n{got}",
         mismatched.join("\n")
+    );
+}
+
+/// The frame checksum, recomputed for edited payloads.
+fn checksum(payload: &[u8]) -> u64 {
+    payload.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+        (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+    })
+}
+
+/// Seeded one-byte mutations of the state section (after the embedded
+/// scenario text) of some of the pinned checkpoints, each re-framed with
+/// a valid checksum: every mutant must decode to a typed error or to a
+/// state the restore accepts without panicking.
+#[test]
+fn checksum_valid_mutants_decode_to_errors_or_restorable_states() {
+    let picks = [
+        ("single_hop", 12_828_780_000),
+        ("shadowed_grid", 12_812_942_000),
+        ("race_5node", 10_666_893_000),
+        ("lifetime", 7_919_000),
+        ("broadcast_demo", 7_919_000),
+        ("cell:shortcut_chain", 89_711_825_981),
+    ];
+    let mut rng = Rng::new(18);
+    let (mut typed, mut restored) = (0, 0);
+    for (label, scen, _) in cells() {
+        let Some(&(_, ns)) = picks.iter().find(|p| p.0 == label) else {
+            continue;
+        };
+        let mut lw = World::build(&scen, &RunOptions::default());
+        lw.run_to(SimTime::from_nanos(ns));
+        let frame = to_bytes_with_meta(&lw.snapshot(), &RunMeta::default()).expect("encodes");
+        // The payload opens with the scenario text: a varint length, then
+        // the bytes.
+        let (mut text_len, mut at) = (0usize, 12);
+        for shift in (0..).step_by(7) {
+            let b = frame[at];
+            at += 1;
+            text_len |= ((b & 0x7f) as usize) << shift;
+            if b & 0x80 == 0 {
+                break;
+            }
+        }
+        let state_at = at + text_len;
+        let payload_end = frame.len() - 8;
+        for _ in 0..500 {
+            let pos = state_at + rng.index(payload_end - state_at);
+            let mut bad = frame.clone();
+            bad[pos] = match rng.index(4) {
+                0 => 0,
+                1 => 0xff,
+                2 => 1,
+                _ => bad[pos] ^ (1 << rng.index(8)),
+            };
+            let sum = checksum(&bad[12..payload_end]);
+            bad[payload_end..].copy_from_slice(&sum.to_le_bytes());
+            match from_bytes(&bad) {
+                Err(_) => typed += 1,
+                Ok(state) => {
+                    let restore = std::panic::catch_unwind(|| {
+                        LiveWorld::restore(&state, &RunOptions::default());
+                    });
+                    assert!(
+                        restore.is_ok(),
+                        "{label} at {ns} ns: byte {pos} -> {:#04x} decodes but panics the restore",
+                        bad[pos]
+                    );
+                    restored += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(typed + restored, 3000, "every pick was mutated");
+    assert!(
+        typed > 0 && restored > 0,
+        "{typed} errors, {restored} restores"
     );
 }
 
