@@ -41,7 +41,7 @@ pub enum RouteWeight {
 /// assert_eq!(routes.hops(NodeId(5), NodeId(0)), Some(5));
 /// assert_eq!(routes.next_hop(NodeId(5), NodeId(0)), Some(NodeId(4)));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Routes {
     n: usize,
     // next[dst][src] = first hop from src toward dst.
@@ -315,7 +315,7 @@ fn bfs_from(
 /// assert_eq!(tree.children(NodeId(0)), &[NodeId(1)]);
 /// assert_eq!(tree.subtree(NodeId(2)), vec![NodeId(2), NodeId(3)]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dissemination {
     root: NodeId,
     children: Vec<Vec<NodeId>>,
@@ -445,19 +445,22 @@ impl ShortcutTable {
 
 bcp_sim::persist!(ShortcutTable { entries });
 
-/// A table of one row per node must load as many rows as the world has
-/// nodes, each `n` wide when `width` says so.
-fn check_rows<T>(rows: &[Vec<T>], n: usize, width: bool, what: &str) -> Result<(), DecodeError> {
-    if rows.len() != n || (width && rows.iter().any(|r| r.len() != n)) {
-        return Err(DecodeError::new(format!(
-            "{what} does not fit a world of {n} nodes"
-        )));
+/// Per-node tables: one row per node of the world being loaded (see
+/// [`Dec::check_table`]), each `n` wide when `square`.
+fn check_rows<T>(
+    d: &Dec<'_>,
+    rows: &[Vec<T>],
+    square: bool,
+    what: &str,
+) -> Result<(), DecodeError> {
+    d.check_table(rows.len(), what)?;
+    if square && rows.iter().any(|r| r.len() != rows.len()) {
+        return Err(DecodeError::new(format!("{what} is not square")));
     }
     Ok(())
 }
 
-/// The tables load into routes built for the same world, whose size they
-/// must match: `next` with its row count, then the `dist` rows.
+/// `next` with its row count, then the `dist` rows (as many).
 impl Persist for Routes {
     fn save(&self, e: &mut Enc) {
         self.next.save(e);
@@ -467,16 +470,18 @@ impl Persist for Routes {
     }
     fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
         self.next.load(d)?;
-        check_rows(&self.next, self.n, true, "a next-hop table")?;
+        check_rows(d, &self.next, true, "a next-hop table")?;
+        self.n = self.next.len();
+        self.dist = vec![Vec::new(); self.n];
         for row in &mut self.dist {
             row.load(d)?;
         }
-        check_rows(&self.dist, self.n, true, "a hop-count table")
+        check_rows(d, &self.dist, true, "a hop-count table")
     }
 }
 
-/// The tree loads into one built for the same world: the root, the child
-/// lists with their row count, then one reached flag per node.
+/// The root, the child lists with their row count, then one reached flag
+/// per node.
 impl Persist for Dissemination {
     fn save(&self, e: &mut Enc) {
         self.root.save(e);
@@ -486,10 +491,10 @@ impl Persist for Dissemination {
         }
     }
     fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        let n = self.reached.len();
         self.root.load(d)?;
         self.children.load(d)?;
-        check_rows(&self.children, n, false, "a dissemination tree")?;
+        check_rows(d, &self.children, false, "a dissemination tree")?;
+        self.reached = vec![false; self.children.len()];
         for r in &mut self.reached {
             r.load(d)?;
         }

@@ -133,11 +133,13 @@ impl Enc {
     }
 
     /// One raw byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// A varint.
+    #[inline]
     pub fn u64(&mut self, mut v: u64) {
         loop {
             let b = (v & 0x7f) as u8;
@@ -151,6 +153,7 @@ impl Enc {
     }
 
     /// A varint of up to 128 bits.
+    #[inline]
     pub fn u128(&mut self, mut v: u128) {
         loop {
             let b = (v & 0x7f) as u8;
@@ -165,6 +168,7 @@ impl Enc {
 
     /// Eight little-endian bytes: for bit patterns, which varints would
     /// stretch to ten.
+    #[inline]
     pub fn fixed64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -176,6 +180,7 @@ impl Enc {
     }
 
     /// A collection length.
+    #[inline]
     pub fn len(&mut self, n: usize) {
         self.u64(n as u64);
     }
@@ -226,6 +231,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Bytes not read yet.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -239,6 +245,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Refuses an id outside the bound set by [`Dec::limit_ids`].
+    #[inline]
     pub fn check_id(&self, id: u64) -> Res<()> {
         if id >= self.ids {
             return Err(DecodeError::new(format!(
@@ -249,7 +256,21 @@ impl<'a> Dec<'a> {
         Ok(())
     }
 
+    /// Refuses a table indexed by id (one entry per id) whose length is
+    /// not the bound set by [`Dec::limit_ids`]; without a bound any
+    /// length passes.
+    pub fn check_table(&self, len: usize, what: &str) -> Res<()> {
+        if self.ids != u64::MAX && len as u64 != self.ids {
+            return Err(DecodeError::new(format!(
+                "{what} has {len} rows for {} ids",
+                self.ids
+            )));
+        }
+        Ok(())
+    }
+
     /// A varint `u32` id, checked by [`Dec::check_id`].
+    #[inline]
     pub fn id(&mut self) -> Res<u32> {
         let id = self.u32()?;
         self.check_id(id as u64)?;
@@ -257,6 +278,7 @@ impl<'a> Dec<'a> {
     }
 
     /// One raw byte.
+    #[inline]
     pub fn u8(&mut self) -> Res<u8> {
         let b = *self
             .buf
@@ -267,6 +289,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A `0`/`1` byte.
+    #[inline]
     pub fn boolean(&mut self) -> Res<bool> {
         match self.u8()? {
             0 => Ok(false),
@@ -276,11 +299,21 @@ impl<'a> Dec<'a> {
     }
 
     /// A varint.
+    #[inline]
     pub fn u64(&mut self) -> Res<u64> {
-        u64::try_from(self.u128()?).map_err(|_| DecodeError::new("varint longer than 64 bits"))
+        let mut v: u64 = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            v |= ((b & 0x7f) as u64) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(DecodeError::new("varint longer than 64 bits"))
     }
 
     /// A varint of up to 128 bits.
+    #[inline]
     pub fn u128(&mut self) -> Res<u128> {
         let mut v: u128 = 0;
         for shift in (0..128).step_by(7) {
@@ -294,16 +327,19 @@ impl<'a> Dec<'a> {
     }
 
     /// A varint that must fit a `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Res<u32> {
         u32::try_from(self.u64()?).map_err(|_| DecodeError::new("u32 out of range"))
     }
 
     /// A varint that must fit a `usize`.
+    #[inline]
     pub fn usize(&mut self) -> Res<usize> {
         usize::try_from(self.u64()?).map_err(|_| DecodeError::new("usize out of range"))
     }
 
     /// Eight little-endian bytes.
+    #[inline]
     pub fn fixed64(&mut self) -> Res<u64> {
         let bytes = self
             .buf
@@ -328,6 +364,7 @@ impl<'a> Dec<'a> {
     // Reads a length; the reader itself has no length to pair with
     // `is_empty`.
     #[allow(clippy::len_without_is_empty)]
+    #[inline]
     pub fn len(&mut self) -> Res<usize> {
         let n = self.usize()?;
         if n > self.remaining() {
@@ -371,9 +408,11 @@ impl<'a> Dec<'a> {
 macro_rules! varint {
     ($($t:ty => $read:ident),+) => {$(
         impl Persist for $t {
+            #[inline]
             fn save(&self, e: &mut Enc) {
                 e.u64(*self as u64);
             }
+            #[inline]
             fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
                 *self = d.$read()?;
                 Ok(())
@@ -385,9 +424,11 @@ macro_rules! varint {
 varint!(u32 => u32, u64 => u64, usize => usize);
 
 impl Persist for u16 {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.u64(*self as u64);
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = u16::try_from(d.u64()?).map_err(|_| DecodeError::new("u16 out of range"))?;
         Ok(())
@@ -395,9 +436,11 @@ impl Persist for u16 {
 }
 
 impl Persist for u128 {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.u128(*self);
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = d.u128()?;
         Ok(())
@@ -405,9 +448,11 @@ impl Persist for u128 {
 }
 
 impl Persist for bool {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.u8(*self as u8);
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = d.boolean()?;
         Ok(())
@@ -415,9 +460,11 @@ impl Persist for bool {
 }
 
 impl Persist for f64 {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.fixed64(self.to_bits());
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = f64::from_bits(d.fixed64()?);
         Ok(())
@@ -425,9 +472,11 @@ impl Persist for f64 {
 }
 
 impl Persist for String {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.str(self);
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = d.str()?;
         Ok(())
@@ -435,9 +484,11 @@ impl Persist for String {
 }
 
 impl Persist for SimTime {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.u64(self.as_nanos());
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = SimTime::from_nanos(d.u64()?);
         Ok(())
@@ -445,9 +496,11 @@ impl Persist for SimTime {
 }
 
 impl Persist for SimDuration {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.u64(self.as_nanos());
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = SimDuration::from_nanos(d.u64()?);
         Ok(())
@@ -457,11 +510,13 @@ impl Persist for SimDuration {
 /// The raw xoshiro state, four varint words. An all-zero state (which
 /// the generator can never reach) is refused.
 impl Persist for Rng {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         for w in self.state() {
             e.u64(w);
         }
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         let s: [u64; 4] = d.read()?;
         if s == [0; 4] {
@@ -476,9 +531,11 @@ impl Persist for Rng {
 /// whose presence configuration fixes use [`Enc::present`] and
 /// [`Dec::present`] instead.)
 impl<T: Persist + Default> Persist for Option<T> {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.present(self);
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = match d.u8()? {
             0 => None,
@@ -490,12 +547,14 @@ impl<T: Persist + Default> Persist for Option<T> {
 }
 
 impl<T: Persist + Default> Persist for Vec<T> {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.len(self.len());
         for x in self {
             x.save(e);
         }
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         let n = d.len()?;
         self.clear();
@@ -508,15 +567,18 @@ impl<T: Persist + Default> Persist for Vec<T> {
 }
 
 impl<T: Persist + Default> Persist for VecDeque<T> {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.len(self.len());
         for x in self {
             x.save(e);
         }
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         let n = d.len()?;
         self.clear();
+        self.reserve(n);
         for _ in 0..n {
             self.push_back(d.read()?);
         }
@@ -525,6 +587,7 @@ impl<T: Persist + Default> Persist for VecDeque<T> {
 }
 
 impl<K: Persist + Default + Ord, V: Persist + Default> Persist for BTreeMap<K, V> {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         e.len(self.len());
         for (k, v) in self {
@@ -532,6 +595,7 @@ impl<K: Persist + Default + Ord, V: Persist + Default> Persist for BTreeMap<K, V
             v.save(e);
         }
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         let n = d.len()?;
         self.clear();
@@ -546,11 +610,13 @@ impl<K: Persist + Default + Ord, V: Persist + Default> Persist for BTreeMap<K, V
 /// An array has a fixed length, so none is written; each element loads
 /// in place.
 impl<T: Persist, const N: usize> Persist for [T; N] {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         for x in self {
             x.save(e);
         }
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         for x in self {
             x.load(d)?;
@@ -560,9 +626,11 @@ impl<T: Persist, const N: usize> Persist for [T; N] {
 }
 
 impl<T: Persist + Default> Persist for Arc<T> {
+    #[inline]
     fn save(&self, e: &mut Enc) {
         (**self).save(e);
     }
+    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = Arc::new(d.read()?);
         Ok(())
@@ -650,10 +718,13 @@ mod tests {
     }
 
     #[test]
-    fn ids_past_the_limit_are_refused() {
+    fn ids_and_tables_are_checked_against_the_limit() {
         let mut d = Dec::new(&[5, 4]);
+        assert!(d.check_table(7, "a table").is_ok(), "no bound yet");
         d.limit_ids(5);
         assert!(d.id().is_err());
         assert_eq!(d.id(), Ok(4));
+        assert!(d.check_table(4, "a table").is_err());
+        assert!(d.check_table(5, "a table").is_ok());
     }
 }

@@ -55,7 +55,7 @@ use crate::events::{Class, Ev, GlobalEv, Payload, TxId};
 use crate::fate::{delivered_flows, settled_losses, FateBook};
 use crate::metrics::Metrics;
 use crate::node::NodeState;
-use crate::routes::{initial_shared, Control, SeriesState, SharedNet};
+use crate::routes::{Control, SeriesState, SharedNet};
 use crate::scenario::{HighRoute, Scenario};
 use crate::shard::ShardState;
 use crate::world::{LiveWorld, RunOptions, Scaffold};
@@ -71,6 +71,7 @@ use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::TraceRecord;
+use bcp_traffic::TrafficPattern;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -225,8 +226,10 @@ impl WorldState {
 
     /// The blank world of `scen` that a decoder loads a checkpoint's run
     /// state into: every node as [`World::build`] constructs it (with
-    /// placeholder RNG streams), idle channel slots, the initial routes,
-    /// and the shadowing present exactly under a received-power model.
+    /// placeholder RNG streams) and idle channel slots, plus a
+    /// dissemination tree exactly under a broadcast pattern and the
+    /// shadowing exactly under a received-power model. The routes are
+    /// empty: their tables load whole.
     ///
     /// [`World::build`]: crate::world::World::build
     pub fn blank(scen: Scenario) -> WorldState {
@@ -241,7 +244,6 @@ impl WorldState {
                 (node, [ChannelSlot::idle(), ChannelSlot::idle()])
             })
             .collect();
-        let shared = initial_shared(&scen);
         let pairs = n * n.saturating_sub(1) / 2;
         let shadow = matches!(scen.phys, PhysModel::LogNormal { .. }).then(|| ShadowSnapshot {
             low: vec![0.0; pairs],
@@ -262,11 +264,12 @@ impl WorldState {
             lost: Vec::new(),
             collisions: 0,
             metrics: Metrics::default(),
-            low_routes: shared.low_routes.clone(),
-            high_routes: shared.high_routes.clone(),
-            alive: shared.alive.clone(),
+            low_routes: Routes::default(),
+            high_routes: Routes::default(),
+            alive: vec![true; n],
             death_seen: false,
-            dissem: shared.dissem.clone(),
+            dissem: matches!(scen.pattern, TrafficPattern::Broadcast { .. })
+                .then(Dissemination::default),
             series: None,
             shadow,
             scen,
@@ -277,7 +280,7 @@ impl WorldState {
 /// Everything but the scenario, which the checkpoint frame embeds as
 /// `.scn` text ahead of it: the state loads into
 /// [`WorldState::blank`] of that scenario, which bounds every node id
-/// and fixes which parts each node has.
+/// and per-node table and fixes which parts each node has.
 impl Persist for WorldState {
     fn save(&self, e: &mut Enc) {
         (self.time, self.events_logical, self.global_events).save(e);
@@ -353,9 +356,11 @@ impl Persist for WorldState {
         self.delivered.clear();
         for _ in 0..flows {
             let flow: FlowKey = d.read()?;
-            let words = (0..d.len()?)
-                .map(|_| d.fixed64())
-                .collect::<Result<Vec<u64>, _>>()?;
+            let n = d.len()?;
+            let mut words = Vec::with_capacity(n);
+            for _ in 0..n {
+                words.push(d.fixed64()?);
+            }
             if words.last() == Some(&0) {
                 return Err(DecodeError::new(format!(
                     "flow {flow:?} bitmap ends in a zero word"
@@ -730,7 +735,7 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
     let control = Control {
         scen: Arc::clone(&scen),
         gossip_flows: match scen.pattern {
-            bcp_traffic::TrafficPattern::Gossip { .. } => scen.flows(),
+            TrafficPattern::Gossip { .. } => scen.flows(),
             _ => Vec::new(),
         },
         metrics: ctrl_metrics,

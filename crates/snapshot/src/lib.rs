@@ -539,6 +539,10 @@ mod tests {
             ),
             ("a liveness flag too many", Box::new(|w| w.alive.push(true))),
             (
+                "routes for no nodes",
+                Box::new(|w| w.low_routes = Default::default()),
+            ),
+            (
                 "shadowing on a disk world",
                 Box::new(|w| {
                     w.shadow = Some(bcp_simnet::snapshot::ShadowSnapshot {
