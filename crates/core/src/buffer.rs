@@ -48,11 +48,7 @@ pub struct BufferStats {
     pub drained: u64,
 }
 
-bcp_sim::persist!(BufferStats {
-    enqueued,
-    overflow_drops,
-    drained
-});
+bcp_sim::persist!(struct BufferStats { enqueued, overflow_drops, drained });
 
 /// The queues in first-use order (which decides future round-robin
 /// choices), then the stats. The byte tallies are recomputed on load,

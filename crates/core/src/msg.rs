@@ -6,7 +6,6 @@
 //! goodput, energy per bit and per-packet delay, never payload contents.
 
 use bcp_net::addr::NodeId;
-use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::time::SimTime;
 use core::fmt;
 
@@ -14,7 +13,7 @@ use core::fmt;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
 
-bcp_sim::persist!(PacketId { 0 });
+bcp_sim::persist!(struct PacketId { 0 });
 
 /// One buffered application packet.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,13 +32,7 @@ pub struct AppPacket {
     pub bytes: usize,
 }
 
-bcp_sim::persist!(AppPacket {
-    id,
-    origin,
-    dest,
-    created,
-    bytes
-});
+bcp_sim::persist!(struct AppPacket { id, origin, dest, created, bytes });
 
 impl AppPacket {
     /// Creates a packet; `seq` must be unique at `origin`.
@@ -58,7 +51,7 @@ impl AppPacket {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BurstId(pub u64);
 
-bcp_sim::persist!(BurstId { 0 });
+bcp_sim::persist!(struct BurstId { 0 });
 
 impl BurstId {
     /// Builds a burst id unique across nodes: the initiating node's id is
@@ -102,7 +95,7 @@ pub enum HandshakeMsg {
     },
 }
 
-/// The placeholder a [`Persist::load`] overwrites.
+/// The placeholder a [`load`](bcp_sim::persist::Persist::load) overwrites.
 impl Default for HandshakeMsg {
     fn default() -> Self {
         HandshakeMsg::WakeUp {
@@ -112,38 +105,9 @@ impl Default for HandshakeMsg {
     }
 }
 
-/// Tag `0` is a wake-up, `1` its ack; each then carries the burst and the
-/// byte count.
-impl Persist for HandshakeMsg {
-    fn save(&self, e: &mut Enc) {
-        let (tag, burst, bytes) = match *self {
-            HandshakeMsg::WakeUp { burst, burst_bytes } => (0, burst, burst_bytes),
-            HandshakeMsg::WakeUpAck {
-                burst,
-                granted_bytes,
-            } => (1, burst, granted_bytes),
-        };
-        e.u8(tag);
-        burst.save(e);
-        bytes.save(e);
-    }
-    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        let tag = d.u8()?;
-        let (burst, bytes) = d.read()?;
-        *self = match tag {
-            0 => HandshakeMsg::WakeUp {
-                burst,
-                burst_bytes: bytes,
-            },
-            1 => HandshakeMsg::WakeUpAck {
-                burst,
-                granted_bytes: bytes,
-            },
-            b => return Err(DecodeError::new(format!("invalid handshake tag {b}"))),
-        };
-        Ok(())
-    }
-}
+bcp_sim::persist!(enum HandshakeMsg {
+    0 => WakeUp { burst, burst_bytes }, 1 => WakeUpAck { burst, granted_bytes }
+});
 
 impl HandshakeMsg {
     /// On-air payload size of this control message over the low radio, in

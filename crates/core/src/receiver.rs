@@ -76,14 +76,9 @@ pub struct ReceiverStats {
     pub bytes_delivered: u64,
 }
 
-bcp_sim::persist!(ReceiverStats {
-    sessions_opened,
-    wakeups_refused,
-    wakeups_reacked,
-    sessions_completed,
-    sessions_timed_out,
-    packets_delivered,
-    bytes_delivered
+bcp_sim::persist!(struct ReceiverStats {
+    sessions_opened, wakeups_refused, wakeups_reacked, sessions_completed, sessions_timed_out,
+    packets_delivered, bytes_delivered
 });
 
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -123,7 +118,7 @@ pub struct BcpReceiver {
 
 // Open sessions in arrival order, then the counters; the node and config
 // are configuration.
-bcp_sim::persist!(BcpReceiver { sessions, stats });
+bcp_sim::persist!(struct BcpReceiver { sessions, stats });
 
 impl BcpReceiver {
     /// Creates the receiver machine for `node`.

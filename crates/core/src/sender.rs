@@ -18,7 +18,6 @@ use crate::config::BcpConfig;
 use crate::frag::{pack_frames, total_bytes};
 use crate::msg::{AppPacket, BurstId};
 use bcp_net::addr::NodeId;
-use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::time::SimTime;
 use std::collections::VecDeque;
 
@@ -129,17 +128,9 @@ pub struct SenderStats {
     pub grant_rejections: u64,
 }
 
-bcp_sim::persist!(SenderStats {
-    handshakes,
-    wakeup_resends,
-    handshake_failures,
-    bursts_completed,
-    frames_ok,
-    frames_failed,
-    packets_sent,
-    bytes_sent,
-    low_fallback_packets,
-    grant_rejections
+bcp_sim::persist!(struct SenderStats {
+    handshakes, wakeup_resends, handshake_failures, bursts_completed, frames_ok, frames_failed,
+    packets_sent, bytes_sent, low_fallback_packets, grant_rejections
 });
 
 #[derive(Debug, Clone, PartialEq)]
@@ -149,52 +140,16 @@ enum SessState {
     Bursting(Bursting),
 }
 
-/// The placeholder a [`Persist::load`] overwrites.
+/// The placeholder a [`load`](bcp_sim::persist::Persist::load) overwrites.
 impl Default for SessState {
     fn default() -> Self {
         SessState::WakingRadio { granted: 0 }
     }
 }
 
-/// Tag `0` is `WaitAck`, `1` `WakingRadio`, `2` `Bursting`, each followed
-/// by its fields.
-impl Persist for SessState {
-    fn save(&self, e: &mut Enc) {
-        match self {
-            SessState::WaitAck {
-                attempts,
-                requested,
-            } => {
-                e.u8(0);
-                attempts.save(e);
-                requested.save(e);
-            }
-            SessState::WakingRadio { granted } => {
-                e.u8(1);
-                granted.save(e);
-            }
-            SessState::Bursting(b) => {
-                e.u8(2);
-                b.save(e);
-            }
-        }
-    }
-    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        *self = match d.u8()? {
-            0 => {
-                let (attempts, requested) = d.read()?;
-                SessState::WaitAck {
-                    attempts,
-                    requested,
-                }
-            }
-            1 => SessState::WakingRadio { granted: d.read()? },
-            2 => SessState::Bursting(d.read()?),
-            b => return Err(DecodeError::new(format!("invalid session state tag {b}"))),
-        };
-        Ok(())
-    }
-}
+bcp_sim::persist!(enum SessState {
+    0 => WaitAck { attempts, requested }, 1 => WakingRadio { granted }, 2 => Bursting(b)
+});
 
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Bursting {
@@ -205,12 +160,8 @@ struct Bursting {
     delivered_bytes: usize,
 }
 
-bcp_sim::persist!(Bursting {
-    pending,
-    count,
-    in_flight,
-    delivered_packets,
-    delivered_bytes
+bcp_sim::persist!(struct Bursting {
+    pending, count, in_flight, delivered_packets, delivered_bytes
 });
 
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -220,11 +171,7 @@ struct Session {
     state: SessState,
 }
 
-bcp_sim::persist!(Session {
-    next_hop,
-    burst,
-    state
-});
+bcp_sim::persist!(struct Session { next_hop, burst, state });
 
 /// The per-node BCP sender machine.
 ///
@@ -243,13 +190,7 @@ pub struct BcpSender {
 }
 
 // The node and config are configuration, re-supplied by the constructor.
-bcp_sim::persist!(BcpSender {
-    buffers,
-    session,
-    burst_counter,
-    draining,
-    stats
-});
+bcp_sim::persist!(struct BcpSender { buffers, session, burst_counter, draining, stats });
 
 impl BcpSender {
     /// Creates the sender machine for `node`.

@@ -17,7 +17,6 @@
 use crate::types::{
     FrameId, FrameKind, MacAction, MacAddr, MacEvent, MacFrame, MacStats, MacTimer,
 };
-use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
@@ -187,17 +186,10 @@ enum Access {
     TxAck,
 }
 
-bcp_sim::persist!(
-    Access = [
-        Access::Quiet,
-        Access::WaitChannel,
-        Access::Deferring,
-        Access::Backoff,
-        Access::TxData,
-        Access::WaitAck,
-        Access::TxAck,
-    ]
-);
+bcp_sim::persist!(enum Access = [
+    Access::Quiet, Access::WaitChannel, Access::Deferring, Access::Backoff, Access::TxData,
+    Access::WaitAck, Access::TxAck
+]);
 
 /// The CSMA/CA engine. See the module docs for the two stock
 /// configurations.
@@ -609,58 +601,12 @@ impl CsmaMac {
     }
 }
 
-/// The per-peer sequence maps as address-sorted pairs, so equal MACs
-/// save equal bytes.
-fn sorted_seqs(map: &HashMap<MacAddr, u16>) -> Vec<(MacAddr, u16)> {
-    let mut v: Vec<(MacAddr, u16)> = map.iter().map(|(&a, &s)| (a, s)).collect();
-    v.sort_unstable();
-    v
-}
-
-/// The config and address are configuration: a MAC is rebuilt from them
-/// and loads only its mutable state.
-impl Persist for CsmaMac {
-    fn save(&self, e: &mut Enc) {
-        self.rng.save(e);
-        self.state.save(e);
-        self.carrier_busy.save(e);
-        self.queue.save(e);
-        self.attempts.save(e);
-        self.cw.save(e);
-        self.backoff_remaining.save(e);
-        self.backoff_started.save(e);
-        self.pending_ack.save(e);
-        self.resume_after_ack.save(e);
-        sorted_seqs(&self.last_seq).save(e);
-        sorted_seqs(&self.next_seq).save(e);
-        self.next_frame_id.save(e);
-        self.stats.save(e);
-    }
-
-    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        self.rng.load(d)?;
-        self.state.load(d)?;
-        self.carrier_busy.load(d)?;
-        self.queue.load(d)?;
-        if self.queue.len() > self.cfg.queue_cap {
-            return Err(DecodeError::new(format!(
-                "{} queued frames exceed the MAC queue capacity {}",
-                self.queue.len(),
-                self.cfg.queue_cap
-            )));
-        }
-        self.attempts.load(d)?;
-        self.cw.load(d)?;
-        self.backoff_remaining.load(d)?;
-        self.backoff_started.load(d)?;
-        self.pending_ack.load(d)?;
-        self.resume_after_ack.load(d)?;
-        self.last_seq = d.read::<Vec<(MacAddr, u16)>>()?.into_iter().collect();
-        self.next_seq = d.read::<Vec<(MacAddr, u16)>>()?.into_iter().collect();
-        self.next_frame_id.load(d)?;
-        self.stats.load(d)
-    }
-}
+// The config and address are configuration: a MAC is rebuilt from them
+// and loads only its mutable state.
+bcp_sim::persist!(struct CsmaMac {
+    rng, state, carrier_busy, queue, attempts, cw, backoff_remaining, backoff_started, pending_ack,
+    resume_after_ack, last_seq, next_seq, next_frame_id, stats
+});
 
 #[cfg(test)]
 mod tests {
@@ -1050,6 +996,7 @@ mod tests {
 mod quiescence_tests {
     use super::*;
     use bcp_radio::profile::lucent_11m;
+    use bcp_sim::persist::{Dec, Enc, Persist};
 
     /// The access byte and the backoff stream are private registers: a
     /// crafted payload that puts a discriminant outside the tag table or

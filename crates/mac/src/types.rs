@@ -13,7 +13,7 @@ use core::fmt;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MacAddr(pub u64);
 
-bcp_sim::persist!(MacAddr { 0 });
+bcp_sim::persist!(struct MacAddr { 0 });
 
 impl MacAddr {
     /// The broadcast address.
@@ -40,7 +40,7 @@ impl fmt::Display for MacAddr {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameId(pub u64);
 
-bcp_sim::persist!(FrameId { 0 });
+bcp_sim::persist!(struct FrameId { 0 });
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -52,7 +52,7 @@ pub enum FrameKind {
     Ack,
 }
 
-bcp_sim::persist!(FrameKind = [FrameKind::Data, FrameKind::Ack]);
+bcp_sim::persist!(enum FrameKind = [FrameKind::Data, FrameKind::Ack]);
 
 /// A link-layer frame. Payloads are modelled by size and an opaque upper
 /// layer `tag`; no bytes are materialised (the simulator never inspects
@@ -75,15 +75,7 @@ pub struct MacFrame {
     pub tag: u64,
 }
 
-bcp_sim::persist!(MacFrame {
-    id,
-    src,
-    dst,
-    payload_bytes,
-    kind,
-    seq,
-    tag
-});
+bcp_sim::persist!(struct MacFrame { id, src, dst, payload_bytes, kind, seq, tag });
 
 /// MAC timers. At most one timer per kind is armed at any moment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -99,14 +91,9 @@ pub enum MacTimer {
     SifsAck,
 }
 
-bcp_sim::persist!(
-    MacTimer = [
-        MacTimer::Difs,
-        MacTimer::Backoff,
-        MacTimer::AckTimeout,
-        MacTimer::SifsAck,
-    ]
-);
+bcp_sim::persist!(enum MacTimer = [
+    MacTimer::Difs, MacTimer::Backoff, MacTimer::AckTimeout, MacTimer::SifsAck
+]);
 
 /// Input to the MAC state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,15 +164,8 @@ pub struct MacStats {
     pub tx_successes: u64,
 }
 
-bcp_sim::persist!(MacStats {
-    enqueued,
-    queue_drops,
-    data_tx,
-    ack_tx,
-    delivered,
-    duplicates,
-    tx_failures,
-    tx_successes
+bcp_sim::persist!(struct MacStats {
+    enqueued, queue_drops, data_tx, ack_tx, delivered, duplicates, tx_failures, tx_successes
 });
 
 #[cfg(test)]

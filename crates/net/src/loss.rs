@@ -23,7 +23,7 @@ pub struct LossState {
     pub in_bad: bool,
 }
 
-bcp_sim::persist!(LossState { in_bad });
+bcp_sim::persist!(struct LossState { in_bad });
 
 /// Per-link loss process configuration (immutable; see [`LossState`] for
 /// the runtime side).

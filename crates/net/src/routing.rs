@@ -443,7 +443,7 @@ impl ShortcutTable {
     }
 }
 
-bcp_sim::persist!(ShortcutTable { entries });
+bcp_sim::persist!(struct ShortcutTable { entries });
 
 /// Per-node tables: one row per node of the world being loaded (see
 /// [`Dec::check_table`]), each `n` wide when `square`.

@@ -43,16 +43,10 @@ pub enum RadioState {
     WakingUp,
 }
 
-bcp_sim::persist!(
-    RadioState = [
-        RadioState::Off,
-        RadioState::Sleeping,
-        RadioState::Idle,
-        RadioState::Receiving,
-        RadioState::Transmitting,
-        RadioState::WakingUp,
-    ]
-);
+bcp_sim::persist!(enum RadioState = [
+    RadioState::Off, RadioState::Sleeping, RadioState::Idle, RadioState::Receiving,
+    RadioState::Transmitting, RadioState::WakingUp
+]);
 
 /// How a reception ended, deciding its energy attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +85,7 @@ pub struct Radio {
 
 // The profile is configuration: a radio is rebuilt from it and loads
 // only its operating state and meter.
-bcp_sim::persist!(Radio { state, ledger });
+bcp_sim::persist!(struct Radio { state, ledger });
 
 impl Radio {
     /// Creates a radio in `initial` state at time `t0`.

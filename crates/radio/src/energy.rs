@@ -77,13 +77,8 @@ pub struct EnergyLedger {
     bucket: EnergyBucket,
 }
 
-bcp_sim::persist!(EnergyBucket = EnergyBucket::ALL);
-bcp_sim::persist!(EnergyLedger {
-    buckets,
-    since,
-    power,
-    bucket
-});
+bcp_sim::persist!(enum EnergyBucket = EnergyBucket::ALL);
+bcp_sim::persist!(struct EnergyLedger { buckets, since, power, bucket });
 
 /// An immutable view of accumulated energy, closed at some instant.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -63,7 +63,7 @@ pub struct EvKey {
     pub ord: u128,
 }
 
-crate::persist!(EvKey { time, depth, ord });
+crate::persist!(struct EvKey { time, depth, ord });
 
 impl EvKey {
     /// The smallest possible key (sorts before everything).

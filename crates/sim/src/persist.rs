@@ -22,8 +22,9 @@
 
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Why a payload could not be loaded.
@@ -55,37 +56,36 @@ pub trait Persist {
     fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError>;
 }
 
-/// Implements [`Persist`] for a struct as its listed fields, saved and
-/// loaded in order, or for a fieldless enum as a one-byte index into its
-/// listed variants (the enum's tag table).
+/// Implements [`Persist`] from a list: a struct as its listed fields in
+/// order; a fieldless enum as a one-byte index into its tag table; an
+/// enum with fields as each variant's tag byte, then its fields in order.
 ///
 /// ```
 /// use bcp_sim::persist::{Dec, Enc, Persist};
 ///
 /// #[derive(Debug, Default, PartialEq)]
 /// struct Counters { sent: u64, lost: u32 }
-/// bcp_sim::persist!(Counters { sent, lost });
-///
+/// bcp_sim::persist!(struct Counters { sent, lost });
 /// #[derive(Debug, Clone, Copy, PartialEq)]
 /// enum Mode { Idle, Busy }
-/// bcp_sim::persist!(Mode = [Mode::Idle, Mode::Busy]);
+/// bcp_sim::persist!(enum Mode = [Mode::Idle, Mode::Busy]);
+/// #[derive(Debug, PartialEq)]
+/// enum Msg { Ping(u32), Move { x: u64, y: u64 }, Stop }
+/// bcp_sim::persist!(enum Msg { 0 => Ping(n), 1 => Move { x, y }, 2 => Stop });
 ///
 /// let mut e = Enc::new();
-/// Counters { sent: 300, lost: 2 }.save(&mut e);
-/// Mode::Busy.save(&mut e);
+/// (Counters { sent: 300, lost: 2 }, Mode::Busy).save(&mut e);
+/// Msg::Move { x: 1, y: 2 }.save(&mut e);
 /// let bytes = e.into_bytes();
-/// assert_eq!(bytes, [0xac, 0x02, 0x02, 0x01]);
-///
-/// let mut d = Dec::new(&bytes);
-/// let mut c = Counters::default();
-/// c.load(&mut d).unwrap();
-/// let mut m = Mode::Idle;
-/// m.load(&mut d).unwrap();
-/// assert_eq!((c, m), (Counters { sent: 300, lost: 2 }, Mode::Busy));
+/// assert_eq!(bytes, [0xac, 0x02, 0x02, 0x01, 0x01, 0x01, 0x02]);
+/// let mut msg = Msg::Stop;
+/// let mut d = Dec::new(&bytes[4..]);
+/// msg.load(&mut d).unwrap();
+/// assert_eq!(msg, Msg::Move { x: 1, y: 2 });
 /// ```
 #[macro_export]
 macro_rules! persist {
-    ($ty:ty { $($field:tt),+ $(,)? }) => {
+    (struct $ty:ty { $($field:tt),+ $(,)? }) => {
         impl $crate::persist::Persist for $ty {
             fn save(&self, e: &mut $crate::persist::Enc) {
                 $($crate::persist::Persist::save(&self.$field, e);)+
@@ -99,7 +99,39 @@ macro_rules! persist {
             }
         }
     };
-    ($ty:ty = $table:expr) => {
+    (enum $ty:ident {
+        $($tag:literal => $variant:ident $({ $($field:ident),* })? $(( $($pos:ident),* ))?),+ $(,)?
+    }) => {
+        impl $crate::persist::Persist for $ty {
+            fn save(&self, e: &mut $crate::persist::Enc) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(( $($pos),* ))? => {
+                        e.u8($tag);
+                        $($($crate::persist::Persist::save($field, e);)*)?
+                        $($($crate::persist::Persist::save($pos, e);)*)?
+                    })+
+                }
+            }
+            fn load(
+                &mut self,
+                d: &mut $crate::persist::Dec<'_>,
+            ) -> ::std::result::Result<(), $crate::persist::DecodeError> {
+                *self = match d.u8()? {
+                    $($tag => $ty::$variant
+                        $({ $($field: d.read()?),* })?
+                        $(( $({ let $pos = d.read()?; $pos }),* ))?,)+
+                    b => {
+                        return Err($crate::persist::DecodeError::new(format!(
+                            concat!("invalid ", stringify!($ty), " tag {}"),
+                            b
+                        )))
+                    }
+                };
+                Ok(())
+            }
+        }
+    };
+    (enum $ty:ty = $table:expr) => {
         impl $crate::persist::Persist for $ty {
             fn save(&self, e: &mut $crate::persist::Enc) {
                 e.tag(&$table, self);
@@ -133,13 +165,11 @@ impl Enc {
     }
 
     /// One raw byte.
-    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// A varint.
-    #[inline]
     pub fn u64(&mut self, mut v: u64) {
         loop {
             let b = (v & 0x7f) as u8;
@@ -153,7 +183,6 @@ impl Enc {
     }
 
     /// A varint of up to 128 bits.
-    #[inline]
     pub fn u128(&mut self, mut v: u128) {
         loop {
             let b = (v & 0x7f) as u8;
@@ -168,7 +197,6 @@ impl Enc {
 
     /// Eight little-endian bytes: for bit patterns, which varints would
     /// stretch to ten.
-    #[inline]
     pub fn fixed64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -180,7 +208,6 @@ impl Enc {
     }
 
     /// A collection length.
-    #[inline]
     pub fn len(&mut self, n: usize) {
         self.u64(n as u64);
     }
@@ -231,7 +258,6 @@ impl<'a> Dec<'a> {
     }
 
     /// Bytes not read yet.
-    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -245,7 +271,6 @@ impl<'a> Dec<'a> {
     }
 
     /// Refuses an id outside the bound set by [`Dec::limit_ids`].
-    #[inline]
     pub fn check_id(&self, id: u64) -> Res<()> {
         if id >= self.ids {
             return Err(DecodeError::new(format!(
@@ -270,15 +295,13 @@ impl<'a> Dec<'a> {
     }
 
     /// A varint `u32` id, checked by [`Dec::check_id`].
-    #[inline]
     pub fn id(&mut self) -> Res<u32> {
-        let id = self.u32()?;
+        let id: u32 = self.narrow("u32")?;
         self.check_id(id as u64)?;
         Ok(id)
     }
 
     /// One raw byte.
-    #[inline]
     pub fn u8(&mut self) -> Res<u8> {
         let b = *self
             .buf
@@ -289,7 +312,6 @@ impl<'a> Dec<'a> {
     }
 
     /// A `0`/`1` byte.
-    #[inline]
     pub fn boolean(&mut self) -> Res<bool> {
         match self.u8()? {
             0 => Ok(false),
@@ -299,7 +321,6 @@ impl<'a> Dec<'a> {
     }
 
     /// A varint.
-    #[inline]
     pub fn u64(&mut self) -> Res<u64> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
@@ -313,7 +334,6 @@ impl<'a> Dec<'a> {
     }
 
     /// A varint of up to 128 bits.
-    #[inline]
     pub fn u128(&mut self) -> Res<u128> {
         let mut v: u128 = 0;
         for shift in (0..128).step_by(7) {
@@ -326,20 +346,12 @@ impl<'a> Dec<'a> {
         Err(DecodeError::new("varint longer than 128 bits"))
     }
 
-    /// A varint that must fit a `u32`.
-    #[inline]
-    pub fn u32(&mut self) -> Res<u32> {
-        u32::try_from(self.u64()?).map_err(|_| DecodeError::new("u32 out of range"))
-    }
-
-    /// A varint that must fit a `usize`.
-    #[inline]
-    pub fn usize(&mut self) -> Res<usize> {
-        usize::try_from(self.u64()?).map_err(|_| DecodeError::new("usize out of range"))
+    /// A varint that must fit a narrower integer type.
+    fn narrow<T: TryFrom<u64>>(&mut self, what: &str) -> Res<T> {
+        T::try_from(self.u64()?).map_err(|_| DecodeError::new(format!("{what} out of range")))
     }
 
     /// Eight little-endian bytes.
-    #[inline]
     pub fn fixed64(&mut self) -> Res<u64> {
         let bytes = self
             .buf
@@ -364,9 +376,8 @@ impl<'a> Dec<'a> {
     // Reads a length; the reader itself has no length to pair with
     // `is_empty`.
     #[allow(clippy::len_without_is_empty)]
-    #[inline]
     pub fn len(&mut self) -> Res<usize> {
-        let n = self.usize()?;
+        let n: usize = self.narrow("usize")?;
         if n > self.remaining() {
             return Err(DecodeError::new(format!(
                 "collection of {n} items exceeds payload"
@@ -405,118 +416,43 @@ impl<'a> Dec<'a> {
     }
 }
 
-macro_rules! varint {
-    ($($t:ty => $read:ident),+) => {$(
+/// `Persist` for value types, from how each saves and loads a whole value.
+macro_rules! scalar {
+    ($($t:ty: |$v:ident, $e:ident| $save:expr, |$d:ident| $load:expr;)+) => {$(
         impl Persist for $t {
-            #[inline]
-            fn save(&self, e: &mut Enc) {
-                e.u64(*self as u64);
+            fn save(&self, $e: &mut Enc) {
+                let $v = self;
+                $save;
             }
-            #[inline]
-            fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-                *self = d.$read()?;
+            fn load(&mut self, $d: &mut Dec<'_>) -> Res<()> {
+                *self = $load;
                 Ok(())
             }
         }
     )+};
 }
 
-varint!(u32 => u32, u64 => u64, usize => usize);
-
-impl Persist for u16 {
-    #[inline]
-    fn save(&self, e: &mut Enc) {
-        e.u64(*self as u64);
-    }
-    #[inline]
-    fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        *self = u16::try_from(d.u64()?).map_err(|_| DecodeError::new("u16 out of range"))?;
-        Ok(())
-    }
-}
-
-impl Persist for u128 {
-    #[inline]
-    fn save(&self, e: &mut Enc) {
-        e.u128(*self);
-    }
-    #[inline]
-    fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        *self = d.u128()?;
-        Ok(())
-    }
-}
-
-impl Persist for bool {
-    #[inline]
-    fn save(&self, e: &mut Enc) {
-        e.u8(*self as u8);
-    }
-    #[inline]
-    fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        *self = d.boolean()?;
-        Ok(())
-    }
-}
-
-impl Persist for f64 {
-    #[inline]
-    fn save(&self, e: &mut Enc) {
-        e.fixed64(self.to_bits());
-    }
-    #[inline]
-    fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        *self = f64::from_bits(d.fixed64()?);
-        Ok(())
-    }
-}
-
-impl Persist for String {
-    #[inline]
-    fn save(&self, e: &mut Enc) {
-        e.str(self);
-    }
-    #[inline]
-    fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        *self = d.str()?;
-        Ok(())
-    }
-}
-
-impl Persist for SimTime {
-    #[inline]
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.as_nanos());
-    }
-    #[inline]
-    fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        *self = SimTime::from_nanos(d.u64()?);
-        Ok(())
-    }
-}
-
-impl Persist for SimDuration {
-    #[inline]
-    fn save(&self, e: &mut Enc) {
-        e.u64(self.as_nanos());
-    }
-    #[inline]
-    fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        *self = SimDuration::from_nanos(d.u64()?);
-        Ok(())
-    }
+scalar! {
+    u16: |v, e| e.u64(*v as u64), |d| d.narrow("u16")?;
+    u32: |v, e| e.u64(*v as u64), |d| d.narrow("u32")?;
+    u64: |v, e| e.u64(*v), |d| d.u64()?;
+    usize: |v, e| e.u64(*v as u64), |d| d.narrow("usize")?;
+    u128: |v, e| e.u128(*v), |d| d.u128()?;
+    bool: |v, e| e.u8(*v as u8), |d| d.boolean()?;
+    f64: |v, e| e.fixed64(v.to_bits()), |d| f64::from_bits(d.fixed64()?);
+    String: |v, e| e.str(v), |d| d.str()?;
+    SimTime: |v, e| e.u64(v.as_nanos()), |d| SimTime::from_nanos(d.u64()?);
+    SimDuration: |v, e| e.u64(v.as_nanos()), |d| SimDuration::from_nanos(d.u64()?);
 }
 
 /// The raw xoshiro state, four varint words. An all-zero state (which
 /// the generator can never reach) is refused.
 impl Persist for Rng {
-    #[inline]
     fn save(&self, e: &mut Enc) {
         for w in self.state() {
             e.u64(w);
         }
     }
-    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         let s: [u64; 4] = d.read()?;
         if s == [0; 4] {
@@ -531,11 +467,9 @@ impl Persist for Rng {
 /// whose presence configuration fixes use [`Enc::present`] and
 /// [`Dec::present`] instead.)
 impl<T: Persist + Default> Persist for Option<T> {
-    #[inline]
     fn save(&self, e: &mut Enc) {
         e.present(self);
     }
-    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = match d.u8()? {
             0 => None,
@@ -546,48 +480,47 @@ impl<T: Persist + Default> Persist for Option<T> {
     }
 }
 
-impl<T: Persist + Default> Persist for Vec<T> {
-    #[inline]
-    fn save(&self, e: &mut Enc) {
-        e.len(self.len());
-        for x in self {
-            x.save(e);
+/// Sequences: a length, then the elements.
+macro_rules! seq {
+    ($($c:ident . $push:ident),+) => {$(
+        impl<T: Persist + Default> Persist for $c<T> {
+            fn save(&self, e: &mut Enc) {
+                e.len(self.len());
+                for x in self {
+                    x.save(e);
+                }
+            }
+            fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
+                let n = d.len()?;
+                self.clear();
+                self.reserve(n);
+                for _ in 0..n {
+                    self.$push(d.read()?);
+                }
+                Ok(())
+            }
         }
-    }
-    #[inline]
-    fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        let n = d.len()?;
-        self.clear();
-        self.reserve(n);
-        for _ in 0..n {
-            self.push(d.read()?);
-        }
-        Ok(())
-    }
+    )+};
 }
 
-impl<T: Persist + Default> Persist for VecDeque<T> {
-    #[inline]
+seq!(Vec.push, VecDeque.push_back);
+
+/// Saved sorted by key, so equal maps save equal bytes whatever their
+/// hash order.
+impl<K: Persist + Default + Ord + Hash + Clone, V: Persist + Default + Clone> Persist
+    for HashMap<K, V>
+{
     fn save(&self, e: &mut Enc) {
-        e.len(self.len());
-        for x in self {
-            x.save(e);
-        }
+        let sorted: BTreeMap<K, V> = self.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        sorted.save(e);
     }
-    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        let n = d.len()?;
-        self.clear();
-        self.reserve(n);
-        for _ in 0..n {
-            self.push_back(d.read()?);
-        }
+        *self = d.read::<BTreeMap<K, V>>()?.into_iter().collect();
         Ok(())
     }
 }
 
 impl<K: Persist + Default + Ord, V: Persist + Default> Persist for BTreeMap<K, V> {
-    #[inline]
     fn save(&self, e: &mut Enc) {
         e.len(self.len());
         for (k, v) in self {
@@ -595,7 +528,6 @@ impl<K: Persist + Default + Ord, V: Persist + Default> Persist for BTreeMap<K, V
             v.save(e);
         }
     }
-    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         let n = d.len()?;
         self.clear();
@@ -610,13 +542,11 @@ impl<K: Persist + Default + Ord, V: Persist + Default> Persist for BTreeMap<K, V
 /// An array has a fixed length, so none is written; each element loads
 /// in place.
 impl<T: Persist, const N: usize> Persist for [T; N] {
-    #[inline]
     fn save(&self, e: &mut Enc) {
         for x in self {
             x.save(e);
         }
     }
-    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         for x in self {
             x.load(d)?;
@@ -626,11 +556,9 @@ impl<T: Persist, const N: usize> Persist for [T; N] {
 }
 
 impl<T: Persist + Default> Persist for Arc<T> {
-    #[inline]
     fn save(&self, e: &mut Enc) {
         (**self).save(e);
     }
-    #[inline]
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
         *self = Arc::new(d.read()?);
         Ok(())
@@ -653,78 +581,3 @@ macro_rules! tuple {
 
 tuple!(A.0, B.1);
 tuple!(A.0, B.1, C.2);
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn round_trip<T: Persist + Default + PartialEq + fmt::Debug>(v: &T) -> Vec<u8> {
-        let mut e = Enc::new();
-        v.save(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        assert_eq!(&d.read::<T>().expect("decodes"), v);
-        assert_eq!(d.remaining(), 0);
-        bytes
-    }
-
-    #[test]
-    fn primitives_round_trip_in_their_wire_forms() {
-        assert_eq!(round_trip(&300u64), [0xac, 0x02]);
-        assert_eq!(round_trip(&u128::MAX).len(), 19);
-        assert_eq!(round_trip(&1.5f64), 1.5f64.to_bits().to_le_bytes());
-        assert_eq!(round_trip(&Some(7u32)), [1, 7]);
-        assert_eq!(round_trip(&vec![true, false]), [2, 1, 0]);
-        assert_eq!(round_trip(&String::from("ab")), [2, b'a', b'b']);
-        round_trip(&(SimTime::from_secs(3), SimDuration::from_millis(2)));
-        round_trip(&VecDeque::from([1u16, 2]));
-        round_trip(&BTreeMap::from([(1u32, 2u64), (5, 6)]));
-    }
-
-    #[test]
-    fn malformed_payloads_are_typed_errors() {
-        let mut d = Dec::new(&[0x80]);
-        assert!(d.u64().is_err(), "truncated varint");
-        let mut d = Dec::new(&[0xff; 12]);
-        assert!(d.u64().is_err(), "over-long varint");
-        let mut d = Dec::new(&[2]);
-        assert!(d.boolean().is_err(), "bool byte 2");
-        let mut d = Dec::new(&[0x80, 0x80, 0x04, 0]);
-        assert!(d.read::<Vec<u32>>().is_err(), "length past the payload");
-        let mut d = Dec::new(&[0xff, 0xff, 0x04]);
-        assert!(d.read::<u16>().is_err(), "u16 out of range");
-        let mut d = Dec::new(&[3]);
-        assert!(d.read::<Option<u64>>().is_err(), "option byte 3");
-    }
-
-    #[test]
-    fn rng_state_must_not_be_all_zero() {
-        let mut r = Rng::new(1);
-        assert!(r.load(&mut Dec::new(&[0, 0, 0, 0])).is_err());
-        r.load(&mut Dec::new(&[0, 0, 1, 0])).expect("a live state");
-        assert_eq!(r.state(), [0, 0, 1, 0]);
-    }
-
-    #[test]
-    fn present_parts_must_match_the_configuration() {
-        let mut built = Some(5u64);
-        assert!(Dec::new(&[0]).present(&mut built, "radio").is_err());
-        let mut absent: Option<u64> = None;
-        assert!(Dec::new(&[1, 3]).present(&mut absent, "radio").is_err());
-        Dec::new(&[1, 3])
-            .present(&mut built, "radio")
-            .expect("fits");
-        assert_eq!(built, Some(3));
-    }
-
-    #[test]
-    fn ids_and_tables_are_checked_against_the_limit() {
-        let mut d = Dec::new(&[5, 4]);
-        assert!(d.check_table(7, "a table").is_ok(), "no bound yet");
-        d.limit_ids(5);
-        assert!(d.id().is_err());
-        assert_eq!(d.id(), Ok(4));
-        assert!(d.check_table(4, "a table").is_err());
-        assert!(d.check_table(5, "a table").is_ok());
-    }
-}

@@ -24,7 +24,7 @@ pub struct Welford {
     m2: f64,
 }
 
-crate::persist!(Welford { n, mean, m2 });
+crate::persist!(struct Welford { n, mean, m2 });
 
 impl Welford {
     /// Creates an empty accumulator.

@@ -43,7 +43,7 @@ impl Class {
     }
 }
 
-bcp_sim::persist!(Class = [Class::Low, Class::High]);
+bcp_sim::persist!(enum Class = [Class::Low, Class::High]);
 
 /// Folds a node id with a node-local sequence number into one u64 (node
 /// in the high 24 bits, sequence in the low 40) — the id scheme of every
@@ -116,49 +116,9 @@ impl Default for Payload {
     }
 }
 
-/// Tag `0` is sensor data, `1` a control message, `2` a burst frame, each
-/// followed by its fields in declaration order.
-impl Persist for Payload {
-    fn save(&self, e: &mut Enc) {
-        match self {
-            Payload::SensorData(pkt) => {
-                e.u8(0);
-                pkt.save(e);
-            }
-            Payload::Control { msg, dst } => {
-                e.u8(1);
-                (*msg, *dst).save(e);
-            }
-            Payload::Burst {
-                burst,
-                index,
-                count,
-                packets,
-            } => {
-                e.u8(2);
-                (*burst, *index, *count).save(e);
-                packets.save(e);
-            }
-        }
-    }
-    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        *self = match d.u8()? {
-            0 => Payload::SensorData(d.read()?),
-            1 => Payload::Control {
-                msg: d.read()?,
-                dst: d.read()?,
-            },
-            2 => Payload::Burst {
-                burst: d.read()?,
-                index: d.read()?,
-                count: d.read()?,
-                packets: d.read()?,
-            },
-            b => return Err(DecodeError::new(format!("invalid payload tag {b}"))),
-        };
-        Ok(())
-    }
-}
+bcp_sim::persist!(enum Payload {
+    0 => SensorData(pkt), 1 => Control { msg, dst }, 2 => Burst { burst, index, count, packets }
+});
 
 /// Shard-local simulator events.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,122 +233,21 @@ impl Default for Ev {
     }
 }
 
-/// One tag byte (`0` = `AppArrival` … `12` = `Sleep`, declaration order),
-/// then the variant's fields in declaration order.
-impl Persist for Ev {
-    fn save(&self, e: &mut Enc) {
-        match self {
-            Ev::AppArrival { node } => {
-                e.u8(0);
-                node.save(e);
-            }
-            Ev::MacTimer { node, class, kind } => {
-                e.u8(1);
-                (*node, *class, *kind).save(e);
-            }
-            Ev::TxEnd { tx } => {
-                e.u8(2);
-                tx.save(e);
-            }
-            Ev::RxBegin {
-                tx,
-                sender,
-                class,
-                kind,
-            } => {
-                e.u8(3);
-                (*tx, *sender, *class).save(e);
-                kind.save(e);
-            }
-            Ev::RxEnd {
-                tx,
-                sender,
-                class,
-                frame,
-                sender_died,
-                payload,
-            } => {
-                e.u8(4);
-                (*tx, *sender, *class).save(e);
-                (*frame, *sender_died).save(e);
-                payload.save(e);
-            }
-            Ev::RadioWakeDone { node } => {
-                e.u8(5);
-                node.save(e);
-            }
-            Ev::BcpAckTimer { node, burst } => {
-                e.u8(6);
-                (*node, *burst).save(e);
-            }
-            Ev::BcpDataTimer { node, burst } => {
-                e.u8(7);
-                (*node, *burst).save(e);
-            }
-            Ev::HighIdleOff { node } => {
-                e.u8(8);
-                node.save(e);
-            }
-            Ev::Flush { node } => {
-                e.u8(9);
-                node.save(e);
-            }
-            Ev::PowerCheck { node } => {
-                e.u8(10);
-                node.save(e);
-            }
-            Ev::WakeSample { node } => {
-                e.u8(11);
-                node.save(e);
-            }
-            Ev::Sleep { node } => {
-                e.u8(12);
-                node.save(e);
-            }
-        }
-    }
-    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        *self = match d.u8()? {
-            0 => Ev::AppArrival { node: d.read()? },
-            1 => Ev::MacTimer {
-                node: d.read()?,
-                class: d.read()?,
-                kind: d.read()?,
-            },
-            2 => Ev::TxEnd { tx: d.read()? },
-            3 => Ev::RxBegin {
-                tx: d.read()?,
-                sender: d.read()?,
-                class: d.read()?,
-                kind: d.read()?,
-            },
-            4 => Ev::RxEnd {
-                tx: d.read()?,
-                sender: d.read()?,
-                class: d.read()?,
-                frame: d.read()?,
-                sender_died: d.read()?,
-                payload: d.read()?,
-            },
-            5 => Ev::RadioWakeDone { node: d.read()? },
-            6 => Ev::BcpAckTimer {
-                node: d.read()?,
-                burst: d.read()?,
-            },
-            7 => Ev::BcpDataTimer {
-                node: d.read()?,
-                burst: d.read()?,
-            },
-            8 => Ev::HighIdleOff { node: d.read()? },
-            9 => Ev::Flush { node: d.read()? },
-            10 => Ev::PowerCheck { node: d.read()? },
-            11 => Ev::WakeSample { node: d.read()? },
-            12 => Ev::Sleep { node: d.read()? },
-            b => return Err(DecodeError::new(format!("invalid event tag {b}"))),
-        };
-        Ok(())
-    }
-}
+bcp_sim::persist!(enum Ev {
+    0 => AppArrival { node },
+    1 => MacTimer { node, class, kind },
+    2 => TxEnd { tx },
+    3 => RxBegin { tx, sender, class, kind },
+    4 => RxEnd { tx, sender, class, frame, sender_died, payload },
+    5 => RadioWakeDone { node },
+    6 => BcpAckTimer { node, burst },
+    7 => BcpDataTimer { node, burst },
+    8 => HighIdleOff { node },
+    9 => Flush { node },
+    10 => PowerCheck { node },
+    11 => WakeSample { node },
+    12 => Sleep { node },
+});
 
 fn timer_rank(kind: MacTimer) -> u64 {
     match kind {
@@ -440,29 +299,7 @@ pub enum GlobalEv {
     RouteRefresh,
 }
 
-/// Tag `0` is a death with its node and instant, `1` a route refresh.
-impl Persist for GlobalEv {
-    fn save(&self, e: &mut Enc) {
-        match self {
-            GlobalEv::NodeDied { node, at } => {
-                e.u8(0);
-                (*node, *at).save(e);
-            }
-            GlobalEv::RouteRefresh => e.u8(1),
-        }
-    }
-    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        *self = match d.u8()? {
-            0 => GlobalEv::NodeDied {
-                node: d.read()?,
-                at: d.read()?,
-            },
-            1 => GlobalEv::RouteRefresh,
-            b => return Err(DecodeError::new(format!("invalid global event tag {b}"))),
-        };
-        Ok(())
-    }
-}
+bcp_sim::persist!(enum GlobalEv { 0 => NodeDied { node, at }, 1 => RouteRefresh });
 
 impl Keyed for GlobalEv {
     fn ord(&self) -> u128 {

@@ -50,8 +50,8 @@ pub struct FateMark {
     pub key: EvKey,
 }
 
-bcp_sim::persist!(Fate = [Fate::LostMac, Fate::LostBuffer]);
-bcp_sim::persist!(FateMark { fate, key });
+bcp_sim::persist!(enum Fate = [Fate::LostMac, Fate::LostBuffer]);
+bcp_sim::persist!(struct FateMark { fate, key });
 
 /// Identity of one *accountable copy* of an application packet: the
 /// packet id plus the copy's final destination. Convergecast and gossip

@@ -42,12 +42,8 @@ pub struct FlowStats {
     pub delay: Welford,
 }
 
-bcp_sim::persist!(FlowStats {
-    generated_packets,
-    generated_bits,
-    delivered_packets,
-    delivered_bits,
-    delay
+bcp_sim::persist!(struct FlowStats {
+    generated_packets, generated_bits, delivered_packets, delivered_bits, delay
 });
 
 impl FlowStats {
@@ -120,23 +116,10 @@ pub struct Metrics {
     pub generated_before_first_death: u64,
 }
 
-bcp_sim::persist!(Metrics {
-    generated_packets,
-    generated_bits,
-    delivered_packets,
-    delivered_bits,
-    flows,
-    drops_buffer,
-    drops_mac,
-    residual_packets,
-    handshakes,
-    radio_wakeups,
-    collisions,
-    node_deaths,
-    first_death,
-    partition,
-    delivered_before_first_death,
-    generated_before_first_death
+bcp_sim::persist!(struct Metrics {
+    generated_packets, generated_bits, delivered_packets, delivered_bits, flows, drops_buffer,
+    drops_mac, residual_packets, handshakes, radio_wakeups, collisions, node_deaths, first_death,
+    partition, delivered_before_first_death, generated_before_first_death
 });
 
 impl Metrics {

@@ -163,14 +163,8 @@ pub struct Cumulative {
     pub low_sleep_j: f64,
 }
 
-bcp_sim::persist!(Cumulative {
-    gen_p,
-    gen_b,
-    del_p,
-    del_b,
-    energy_j,
-    low_idle_j,
-    low_sleep_j
+bcp_sim::persist!(struct Cumulative {
+    gen_p, gen_b, del_p, del_b, energy_j, low_idle_j, low_sleep_j
 });
 
 /// One pass over the shards collecting the cumulative series quantities

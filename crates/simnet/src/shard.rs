@@ -56,11 +56,7 @@ pub struct ActiveTx {
     pub frame: MacFrame,
 }
 
-bcp_sim::persist!(ActiveTx {
-    sender,
-    class,
-    frame
-});
+bcp_sim::persist!(struct ActiveTx { sender, class, frame });
 
 /// One shard's complete mutable state.
 #[derive(Debug)]

@@ -314,52 +314,41 @@ impl Persist for WorldState {
     }
 
     fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        let n = self.nodes.len();
-        d.limit_ids(n);
+        d.limit_ids(self.nodes.len());
         let end = self.scen.end_time();
         (self.time, self.events_logical, self.global_events) = d.read()?;
         if self.time > end {
+            let t = self.time;
             return Err(DecodeError::new(format!(
-                "pause {} is past the horizon {end}",
-                self.time
+                "pause {t} is past the horizon {end}"
             )));
         }
-        let got = d.len()?;
-        if got != n {
-            return Err(DecodeError::new(format!(
-                "{got} nodes for a scenario of {n}"
-            )));
-        }
+        let nodes = d.len()?;
+        d.check_table(nodes, "the node list")?;
         for node in &mut self.nodes {
             node.load(d)?;
         }
         (self.pending, self.pending_globals) = d.read()?;
-        let keys = self.pending.iter().map(|e| e.0);
-        if let Some(k) = keys
-            .chain(self.pending_globals.iter().map(|e| e.0))
+        let globals = self.pending_globals.iter().map(|e| e.0);
+        if let Some(k) = self
+            .pending
+            .iter()
+            .map(|e| e.0)
+            .chain(globals)
             .find(|k| k.time < self.time)
         {
+            let (t, pause) = (k.time, self.time);
             return Err(DecodeError::new(format!(
-                "an event pending at {} precedes the pause {}",
-                k.time, self.time
+                "an event pending at {t} precedes the pause {pause}"
             )));
         }
         (self.payloads, self.txs, self.lpl_audible) = d.read()?;
-        let owners = self.payloads.iter().map(|e| e.0 >> 40);
-        for id in owners
-            .chain(self.txs.iter().map(|e| e.0 >> 40))
-            .chain(self.lpl_audible.iter().map(|e| e.0 as u64))
-        {
-            d.check_id(id)?;
-        }
-        let flows = d.len()?;
         self.delivered.clear();
-        for _ in 0..flows {
+        for _ in 0..d.len()? {
             let flow: FlowKey = d.read()?;
-            let n = d.len()?;
-            let mut words = Vec::with_capacity(n);
-            for _ in 0..n {
-                words.push(d.fixed64()?);
+            let mut words = vec![0; d.len()?];
+            for w in &mut words {
+                *w = d.fixed64()?;
             }
             if words.last() == Some(&0) {
                 return Err(DecodeError::new(format!(
@@ -369,21 +358,23 @@ impl Persist for WorldState {
             self.delivered.push((flow, words));
         }
         (self.lost, self.collisions, self.metrics) = d.read()?;
-        let dests = self.delivered.iter().map(|e| e.0);
-        for (origin, dest) in dests.chain(self.lost.iter().map(|e| ((e.0 .0 >> 40) as u32, e.0 .1)))
-        {
-            d.check_id(origin as u64)?;
-            d.check_id(dest as u64)?;
+        // Node ids folded into raw keys: payload tags, transmission ids,
+        // duty-cycled nodes, flows and lost copies.
+        let flows = self.delivered.iter().map(|e| e.0);
+        let flows = flows.chain(
+            self.lost
+                .iter()
+                .map(|((id, dest), _)| ((id >> 40) as u32, *dest)),
+        );
+        let keys = self.payloads.iter().map(|e| e.0 >> 40);
+        let keys = keys.chain(self.txs.iter().map(|e| e.0 >> 40));
+        let keys = keys.chain(self.lpl_audible.iter().map(|e| e.0 as u64));
+        for id in keys.chain(flows.flat_map(|(from, to)| [from as u64, to as u64])) {
+            d.check_id(id)?;
         }
-        self.low_routes.load(d)?;
-        self.high_routes.load(d)?;
+        (self.low_routes, self.high_routes) = d.read()?;
         (self.alive, self.death_seen) = d.read()?;
-        if self.alive.len() != n {
-            return Err(DecodeError::new(format!(
-                "{} liveness flags for a scenario of {n} nodes",
-                self.alive.len()
-            )));
-        }
+        d.check_table(self.alive.len(), "the liveness flags")?;
         d.present(&mut self.dissem, "dissemination tree")?;
         self.series.load(d)?;
         d.present(&mut self.shadow, "shadowing map")

@@ -172,90 +172,57 @@ pub enum Workload {
 /// Tag `0` is CBR, `1` Poisson, `2` on/off, each followed by its fields
 /// in declaration order. The kind and its sizes and intervals are the
 /// scenario's and must match the workload loaded into; the arrival clock
-/// and the sampler stream are run state.
+/// and the sampler stream are run state, loaded in place.
 impl Persist for Workload {
     fn save(&self, e: &mut Enc) {
+        let (kind, packet_bytes, interval, means) = self.config();
+        e.u8(kind);
+        (packet_bytes, interval).save(e);
         match self {
-            Workload::Cbr {
-                packet_bytes,
-                interval,
-                next_at,
-            } => {
-                e.u8(0);
-                (*packet_bytes, *interval, *next_at).save(e);
-            }
-            Workload::Poisson {
-                packet_bytes,
-                mean_interval,
-                next_at,
-                rng,
-            } => {
-                e.u8(1);
-                (*packet_bytes, *mean_interval, *next_at).save(e);
+            Workload::Cbr { next_at, .. } => next_at.save(e),
+            Workload::Poisson { next_at, rng, .. } => {
+                next_at.save(e);
                 rng.save(e);
             }
             Workload::OnOffBursty {
-                packet_bytes,
-                interval,
-                mean_on,
-                mean_off,
                 next_at,
                 on_until,
                 rng,
+                ..
             } => {
-                e.u8(2);
-                (*packet_bytes, *interval, *mean_on).save(e);
-                (*mean_off, *next_at, *on_until).save(e);
+                (means, *next_at, *on_until).save(e);
                 rng.save(e);
             }
         }
     }
 
     fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        let rng = |d: &mut Dec<'_>| {
-            let mut r = Rng::new(1);
-            r.load(d).map(|()| r)
-        };
-        let w = match d.u8()? {
-            0 => {
-                let (packet_bytes, interval, next_at) = d.read()?;
-                Workload::Cbr {
-                    packet_bytes,
-                    interval,
-                    next_at,
-                }
-            }
-            1 => {
-                let (packet_bytes, mean_interval, next_at) = d.read()?;
-                Workload::Poisson {
-                    packet_bytes,
-                    mean_interval,
-                    next_at,
-                    rng: rng(d)?,
-                }
-            }
-            2 => {
-                let (packet_bytes, interval, mean_on) = d.read()?;
-                let (mean_off, next_at, on_until) = d.read()?;
-                Workload::OnOffBursty {
-                    packet_bytes,
-                    interval,
-                    mean_on,
-                    mean_off,
-                    next_at,
-                    on_until,
-                    rng: rng(d)?,
-                }
-            }
-            b => return Err(DecodeError::new(format!("invalid workload tag {b}"))),
-        };
-        if w.config() != self.config() {
+        let (kind, packet_bytes, interval, means) = self.config();
+        let mut got = (d.u8()?, d.read()?, d.read()?, means);
+        if got.0 == kind && kind == 2 {
+            got.3 = d.read()?;
+        }
+        if got != (kind, packet_bytes, interval, means) {
             return Err(DecodeError::new(
                 "the payload's workload differs from the scenario's",
             ));
         }
-        *self = w;
-        Ok(())
+        match self {
+            Workload::Cbr { next_at, .. } => next_at.load(d),
+            Workload::Poisson { next_at, rng, .. } => {
+                next_at.load(d)?;
+                rng.load(d)
+            }
+            Workload::OnOffBursty {
+                next_at,
+                on_until,
+                rng,
+                ..
+            } => {
+                (*next_at, *on_until) = d.read()?;
+                rng.load(d)
+            }
+        }
     }
 }
 
@@ -336,39 +303,29 @@ impl Workload {
         }
     }
 
-    /// The kind and configuration: everything but the arrival clock and
-    /// the sampler stream.
-    fn config(&self) -> (u8, usize, SimDuration, SimDuration, SimDuration) {
+    /// The kind tag, packet size, (mean) interval and, for on/off, the
+    /// mean on and off times: everything but the arrival clock and the
+    /// sampler stream.
+    fn config(&self) -> (u8, usize, SimDuration, (SimDuration, SimDuration)) {
+        let none = (SimDuration::ZERO, SimDuration::ZERO);
         match *self {
             Workload::Cbr {
                 packet_bytes,
                 interval,
                 ..
-            } => (
-                0,
-                packet_bytes,
-                interval,
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-            ),
+            } => (0, packet_bytes, interval, none),
             Workload::Poisson {
                 packet_bytes,
                 mean_interval,
                 ..
-            } => (
-                1,
-                packet_bytes,
-                mean_interval,
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-            ),
+            } => (1, packet_bytes, mean_interval, none),
             Workload::OnOffBursty {
                 packet_bytes,
                 interval,
                 mean_on,
                 mean_off,
                 ..
-            } => (2, packet_bytes, interval, mean_on, mean_off),
+            } => (2, packet_bytes, interval, (mean_on, mean_off)),
         }
     }
 
