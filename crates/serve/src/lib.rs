@@ -17,7 +17,9 @@
 //!   write a checkpoint ([`bcp_snapshot`] format) between segments; a
 //!   killed server resumes each interrupted cell from its last
 //!   checkpoint on restart, and the resumed result is byte-identical to
-//!   an uninterrupted run (modulo the wall-clock `engine` block).
+//!   an uninterrupted run (modulo the wall-clock `engine` block). Only a
+//!   checkpoint that decodes and embeds the cell's own scenario is
+//!   resumed; any other starts the cell cold.
 //! * **Streaming** — running cells emit per-window series deltas (the
 //!   `SeriesState` sampler) which `watch` subscribers receive live.
 //!
