@@ -153,6 +153,8 @@ pub struct Enc {
     buf: Vec<u8>,
 }
 
+// The primitives are `#[inline]`: the codecs that call them live in
+// other crates, and a call per varint slowed saving and loading.
 impl Enc {
     /// An empty payload.
     pub fn new() -> Self {
@@ -165,11 +167,13 @@ impl Enc {
     }
 
     /// One raw byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// A varint.
+    #[inline]
     pub fn u64(&mut self, mut v: u64) {
         loop {
             let b = (v & 0x7f) as u8;
@@ -197,6 +201,7 @@ impl Enc {
 
     /// Eight little-endian bytes: for bit patterns, which varints would
     /// stretch to ten.
+    #[inline]
     pub fn fixed64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -208,6 +213,7 @@ impl Enc {
     }
 
     /// A collection length.
+    #[inline]
     pub fn len(&mut self, n: usize) {
         self.u64(n as u64);
     }
@@ -271,6 +277,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Refuses an id outside the bound set by [`Dec::limit_ids`].
+    #[inline]
     pub fn check_id(&self, id: u64) -> Res<()> {
         if id >= self.ids {
             return Err(DecodeError::new(format!(
@@ -295,6 +302,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A varint `u32` id, checked by [`Dec::check_id`].
+    #[inline]
     pub fn id(&mut self) -> Res<u32> {
         let id: u32 = self.narrow("u32")?;
         self.check_id(id as u64)?;
@@ -302,6 +310,7 @@ impl<'a> Dec<'a> {
     }
 
     /// One raw byte.
+    #[inline]
     pub fn u8(&mut self) -> Res<u8> {
         let b = *self
             .buf
@@ -312,6 +321,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A `0`/`1` byte.
+    #[inline]
     pub fn boolean(&mut self) -> Res<bool> {
         match self.u8()? {
             0 => Ok(false),
@@ -321,6 +331,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A varint.
+    #[inline]
     pub fn u64(&mut self) -> Res<u64> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
@@ -352,6 +363,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Eight little-endian bytes.
+    #[inline]
     pub fn fixed64(&mut self) -> Res<u64> {
         let bytes = self
             .buf
@@ -373,6 +385,7 @@ impl<'a> Dec<'a> {
 
     /// A collection length, bounded by the bytes actually remaining so a
     /// crafted length cannot trigger a huge allocation.
+    #[inline]
     // Reads a length; the reader itself has no length to pair with
     // `is_empty`.
     #[allow(clippy::len_without_is_empty)]
@@ -420,10 +433,12 @@ impl<'a> Dec<'a> {
 macro_rules! scalar {
     ($($t:ty: |$v:ident, $e:ident| $save:expr, |$d:ident| $load:expr;)+) => {$(
         impl Persist for $t {
+            #[inline]
             fn save(&self, $e: &mut Enc) {
                 let $v = self;
                 $save;
             }
+            #[inline]
             fn load(&mut self, $d: &mut Dec<'_>) -> Res<()> {
                 *self = $load;
                 Ok(())
@@ -507,15 +522,24 @@ seq!(Vec.push, VecDeque.push_back);
 
 /// Saved sorted by key, so equal maps save equal bytes whatever their
 /// hash order.
-impl<K: Persist + Default + Ord + Hash + Clone, V: Persist + Default + Clone> Persist
-    for HashMap<K, V>
-{
+impl<K: Persist + Default + Ord + Hash, V: Persist + Default> Persist for HashMap<K, V> {
     fn save(&self, e: &mut Enc) {
-        let sorted: BTreeMap<K, V> = self.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        sorted.save(e);
+        let mut sorted: Vec<(&K, &V)> = self.iter().collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        e.len(sorted.len());
+        for (k, v) in sorted {
+            k.save(e);
+            v.save(e);
+        }
     }
     fn load(&mut self, d: &mut Dec<'_>) -> Res<()> {
-        *self = d.read::<BTreeMap<K, V>>()?.into_iter().collect();
+        let n = d.len()?;
+        self.clear();
+        self.reserve(n);
+        for _ in 0..n {
+            let k = d.read()?;
+            self.insert(k, d.read()?);
+        }
         Ok(())
     }
 }
