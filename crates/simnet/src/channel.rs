@@ -233,11 +233,6 @@ impl Channel {
             .sum()
     }
 
-    /// The audible frames at `node` with their powers (checkpoint path).
-    pub fn audible_of(&self, node: NodeId) -> &[(TxId, f64)] {
-        &self.audible[node.index()]
-    }
-
     /// Locks `node`'s receiver onto frame `tx` (it was idle and the frame
     /// started cleanly).
     pub fn lock_rx(&mut self, node: NodeId, tx: TxId) {
@@ -479,7 +474,7 @@ mod tests {
         assert!(c.audible_remove(n, a));
         assert!(!c.audible_remove(n, a), "already removed");
         assert_eq!(c.interference_mw(n, b), 0.0);
-        assert_eq!(c.audible_of(n), &[(b, 0.5)]);
+        assert_eq!(c.slot(n).audible, [(b, 0.5)]);
     }
 
     #[test]
