@@ -631,6 +631,171 @@ mod tests {
         assert!(r.to_ndjson().ends_with("\"ev\":\"route_refresh\"}"));
     }
 
+    /// The exact NDJSON line of every variant, with header integers at
+    /// the decimal-width edges (`ord` is a `u128`).
+    #[test]
+    fn ndjson_lines_are_pinned() {
+        use TraceEvent as E;
+        let cases = [
+            (
+                key(0, 0, 0),
+                E::PktEnqueue {
+                    node: 1,
+                    pkt: 7,
+                    bytes: 32,
+                },
+                r#"{"t_ns":0,"depth":0,"ord":"0","cat":"pkt","ev":"pkt_enqueue","node":1,"pkt":7,"bytes":32}"#,
+            ),
+            (
+                key(1, 1, 9),
+                E::MacContend {
+                    node: 2,
+                    class: TraceClass::Low,
+                    bytes: 36,
+                },
+                r#"{"t_ns":1,"depth":1,"ord":"9","cat":"pkt","ev":"mac_contend","node":2,"class":"low","bytes":36}"#,
+            ),
+            (
+                key(10, 2, 10),
+                E::TxStart {
+                    node: 3,
+                    class: TraceClass::High,
+                    bytes: 1500,
+                    air_ns: 1_234_567,
+                    preamble_ns: 0,
+                },
+                r#"{"t_ns":10,"depth":2,"ord":"10","cat":"pkt","ev":"tx_start","node":3,"class":"high","bytes":1500,"air_ns":1234567,"preamble_ns":0}"#,
+            ),
+            (
+                key(99, 9, 9_999_999_999_999_999_999),
+                E::RxStart {
+                    node: 4,
+                    from: 3,
+                    class: TraceClass::High,
+                },
+                r#"{"t_ns":99,"depth":9,"ord":"9999999999999999999","cat":"pkt","ev":"rx_start","node":4,"from":3,"class":"high"}"#,
+            ),
+            (
+                key(100, 10, 10_000_000_000_000_000_000),
+                E::RxEnd {
+                    node: 4,
+                    from: 3,
+                    class: TraceClass::Low,
+                    outcome: TraceRx::Corrupted,
+                },
+                r#"{"t_ns":100,"depth":10,"ord":"10000000000000000000","cat":"pkt","ev":"rx_end","node":4,"from":3,"class":"low","outcome":"corrupted"}"#,
+            ),
+            (
+                key(12_000_000_000, 0, u64::MAX as u128),
+                E::BurstFrame {
+                    node: 1,
+                    peer: 0,
+                    bytes: 1024,
+                    frame_ns: 800_000,
+                    ack_ns: 112_000,
+                    ifs_ns: 10_000,
+                },
+                r#"{"t_ns":12000000000,"depth":0,"ord":"18446744073709551615","cat":"pkt","ev":"burst_frame","node":1,"peer":0,"bytes":1024,"frame_ns":800000,"ack_ns":112000,"ifs_ns":10000}"#,
+            ),
+            (
+                key(7, 3, u64::MAX as u128 + 1),
+                E::AckOutcome {
+                    node: 5,
+                    class: TraceClass::Low,
+                    ok: false,
+                },
+                r#"{"t_ns":7,"depth":3,"ord":"18446744073709551616","cat":"pkt","ev":"ack_outcome","node":5,"class":"low","ok":false}"#,
+            ),
+            (
+                key(u64::MAX, u32::MAX, u128::MAX),
+                E::PktDeliver {
+                    node: 0,
+                    pkt: 42,
+                    delay_ns: u64::MAX,
+                },
+                r#"{"t_ns":18446744073709551615,"depth":4294967295,"ord":"340282366920938463463374607431768211455","cat":"pkt","ev":"pkt_deliver","node":0,"pkt":42,"delay_ns":18446744073709551615}"#,
+            ),
+            (
+                key(5, 0, 123),
+                E::PktDrop {
+                    node: 6,
+                    pkt: 99,
+                    reason: TraceDrop::Unroutable,
+                },
+                r#"{"t_ns":5,"depth":0,"ord":"123","cat":"pkt","ev":"pkt_drop","node":6,"pkt":99,"reason":"unroutable"}"#,
+            ),
+            (
+                key(5, 1, 1),
+                E::RadioState {
+                    node: 7,
+                    class: TraceClass::High,
+                    state: TraceRadioState::Waking,
+                },
+                r#"{"t_ns":5,"depth":1,"ord":"1","cat":"radio","ev":"radio_state","node":7,"class":"high","state":"waking"}"#,
+            ),
+            (
+                key(6, 0, 2),
+                E::PowerStep {
+                    node: 8,
+                    remaining_j: 0.1 + 0.2,
+                },
+                r#"{"t_ns":6,"depth":0,"ord":"2","cat":"power","ev":"power_step","node":8,"remaining_j":0.30000000000000004}"#,
+            ),
+            (
+                key(6, 0, 3),
+                E::PowerStep {
+                    node: 8,
+                    remaining_j: 1e-7,
+                },
+                r#"{"t_ns":6,"depth":0,"ord":"3","cat":"power","ev":"power_step","node":8,"remaining_j":1e-7}"#,
+            ),
+            (
+                key(6, 0, 4),
+                E::PowerStep {
+                    node: 8,
+                    remaining_j: 2.0,
+                },
+                r#"{"t_ns":6,"depth":0,"ord":"4","cat":"power","ev":"power_step","node":8,"remaining_j":2.0}"#,
+            ),
+            (
+                key(8, 0, 5),
+                E::NodeDeath { node: u32::MAX },
+                r#"{"t_ns":8,"depth":0,"ord":"5","cat":"power","ev":"node_death","node":4294967295}"#,
+            ),
+            (
+                key(9, 1, 6),
+                E::RouteRepair {
+                    dead: 13,
+                    partition: true,
+                },
+                r#"{"t_ns":9,"depth":1,"ord":"6","cat":"route","ev":"route_repair","dead":13,"partition":true}"#,
+            ),
+            (
+                key(30_000_000_000, 0, 7),
+                E::RouteRefresh,
+                r#"{"t_ns":30000000000,"depth":0,"ord":"7","cat":"route","ev":"route_refresh"}"#,
+            ),
+            (
+                key(11, 0, 8),
+                E::LplSample {
+                    node: 9,
+                    heard: true,
+                },
+                r#"{"t_ns":11,"depth":0,"ord":"8","cat":"radio","ev":"lpl_sample","node":9,"heard":true}"#,
+            ),
+            (
+                key(12, 0, 11),
+                E::LplLock { node: 9, from: 2 },
+                r#"{"t_ns":12,"depth":0,"ord":"11","cat":"radio","ev":"lpl_lock","node":9,"from":2}"#,
+            ),
+        ];
+        for (key, ev, want) in cases {
+            let name = ev.name();
+            let r = TraceRecord { key, ev };
+            assert_eq!(r.to_ndjson(), want, "{name}");
+        }
+    }
+
     #[test]
     fn merge_is_shard_count_invariant() {
         let rec = |ns, ord, node| TraceRecord {
@@ -649,5 +814,28 @@ mod tests {
         let two_shards = merge_traces(vec![vec![b.clone(), c.clone()], vec![a.clone()]]);
         assert_eq!(one_shard, two_shards);
         assert_eq!(one_shard, vec![a, b, c]);
+    }
+
+    /// A one-shard run's coordinator records arrive as a second part,
+    /// after shard records that come later in key order.
+    #[test]
+    fn merge_sorts_route_records_appended_last() {
+        let node = |ns, node| TraceRecord {
+            key: key(ns, 0, 1),
+            ev: TraceEvent::NodeDeath { node },
+        };
+        let route = TraceRecord {
+            key: key(20, 1, 0),
+            ev: TraceEvent::RouteRepair {
+                dead: 3,
+                partition: false,
+            },
+        };
+        let (a, b, c) = (node(10, 3), node(20, 5), node(30, 1));
+        let merged = merge_traces(vec![
+            vec![a.clone(), b.clone(), c.clone()],
+            vec![route.clone()],
+        ]);
+        assert_eq!(merged, vec![a, b, route, c]);
     }
 }

@@ -4,6 +4,8 @@
 //!   observational — `RunStats` are byte-identical with them on or off,
 //!   for every checked-in scenario spec;
 //! * the merged trace is identical for every shard count;
+//! * every traced run's NDJSON bytes are pinned by a digest in
+//!   `tests/golden/traces.txt`;
 //! * per-window series deltas telescope exactly to the end-of-run
 //!   globals;
 //! * trace and series records round-trip through the NDJSON emitters and
@@ -11,8 +13,9 @@
 
 use bcp_power::{Battery, PowerConfig};
 use bcp_sim::time::SimDuration;
-use bcp_sim::trace::TraceCat;
+use bcp_sim::trace::{TraceCat, TraceRecord};
 use bcp_simnet::{parse_spec, EngineStats, ModelKind, RunOptions, Scenario};
+use bcp_snapshot::cache::sha256_hex;
 use std::path::PathBuf;
 
 fn specs_dir() -> PathBuf {
@@ -68,8 +71,50 @@ fn without_engine(mut stats: bcp_simnet::RunStats) -> bcp_simnet::RunStats {
     stats
 }
 
+/// One line of `tests/golden/traces.txt`: `<name> <shards> <records>
+/// <sha256>`, the digest taken over the trace's NDJSON.
+fn trace_digest(name: &str, shards: usize, trace: &[TraceRecord]) -> String {
+    let mut ndjson = String::new();
+    for r in trace {
+        ndjson.push_str(&r.to_ndjson());
+        ndjson.push('\n');
+    }
+    format!(
+        "{name} {shards} {} {}",
+        trace.len(),
+        sha256_hex(ndjson.as_bytes())
+    )
+}
+
+/// Compares each digest line with the golden line of the same name and
+/// shard count; a changed byte in any traced run's NDJSON fails here.
+fn assert_trace_digests(got: &[String]) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/traces.txt");
+    let golden = std::fs::read_to_string(path).unwrap_or_default();
+    fn run_of(line: &str) -> Vec<&str> {
+        line.split(' ').take(2).collect()
+    }
+    let mismatched: Vec<String> = got
+        .iter()
+        .filter_map(|g| {
+            let want = golden
+                .lines()
+                .find(|w| run_of(w) == run_of(g))
+                .unwrap_or("<missing>");
+            (g != want).then(|| format!("  got  {g}\n  want {want}"))
+        })
+        .collect();
+    assert!(
+        mismatched.is_empty(),
+        "trace bytes changed:\n{}\ndigests of these runs:\n{}",
+        mismatched.join("\n"),
+        got.join("\n")
+    );
+}
+
 #[test]
 fn tracing_never_changes_the_summary() {
+    let mut digests = Vec::new();
     for (name, scen) in checked_in_scenarios() {
         let plain = scen.run();
         let observed = scen.run_with(&RunOptions {
@@ -86,7 +131,9 @@ fn tracing_never_changes_the_summary() {
             !observed.trace.is_empty(),
             "{name}: a traced run records events"
         );
+        digests.push(trace_digest(&name, scen.shards, &observed.trace));
     }
+    assert_trace_digests(&digests);
 }
 
 #[test]
@@ -103,6 +150,7 @@ fn merged_trace_is_shard_count_invariant() {
         one.trace.iter().any(|r| r.ev.cat() == TraceCat::Route),
         "deaths leave route-repair records"
     );
+    let mut digests = vec![trace_digest("death", 1, &one.trace)];
     for k in [2, 4] {
         let sharded = death_scenario(k).run_with(&RunOptions {
             trace: true,
@@ -116,7 +164,9 @@ fn merged_trace_is_shard_count_invariant() {
         for (a, b) in one.trace.iter().zip(sharded.trace.iter()) {
             assert_eq!(a, b, "shards={k}: records diverge");
         }
+        digests.push(trace_digest("death", k, &sharded.trace));
     }
+    assert_trace_digests(&digests);
 }
 
 #[test]
