@@ -66,7 +66,6 @@ pub mod prelude {
     pub use crate::rng::Rng;
     pub use crate::stats::{mean_ci95, Series, Welford};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::Trace;
 }
 
 pub use rng::Rng;

@@ -3,80 +3,18 @@
 //! The paper's prototype computes energy and delay *from event logs*
 //! ("All the events ... were logged in detail. At the end of the experiments,
 //! these logs were used to calculate energy consumption and delay").
-//! [`Trace`] is the equivalent facility here: models append timestamped
+//! A `Vec<TraceRecord>` is the equivalent facility here: models append
 //! records, post-processing iterates over them.
 //!
-//! On top of the generic container this module defines the shared trace
-//! vocabulary: [`TraceEvent`] (the packet/radio/power/route lifecycle),
-//! [`TraceRecord`] (an event stamped with the [`EvKey`] of the simulation
-//! event that produced it) and [`merge_traces`] (the deterministic
-//! per-shard merge). Records serialise to NDJSON via
-//! [`TraceRecord::to_ndjson`]; the schema is documented on that method.
+//! This module defines the shared trace vocabulary: [`TraceEvent`] (the
+//! packet/radio/power/route lifecycle), [`TraceRecord`] (an event stamped
+//! with the [`EvKey`] of the simulation event that produced it) and
+//! [`merge_traces`] (the deterministic per-shard merge). Records serialise
+//! to NDJSON via [`TraceRecord::write_ndjson`]; the schema is documented
+//! on that method.
 
 use crate::keyed::EvKey;
-use crate::time::SimTime;
-
-/// An append-only timestamped log of `T` records.
-///
-/// # Examples
-///
-/// ```
-/// use bcp_sim::trace::Trace;
-/// use bcp_sim::time::SimTime;
-///
-/// let mut t = Trace::new();
-/// t.record(SimTime::from_secs(1), "radio on");
-/// t.record(SimTime::from_secs(2), "radio off");
-/// assert_eq!(t.len(), 2);
-/// assert_eq!(t.iter().next().unwrap().1, &"radio on");
-/// ```
-#[derive(Debug, Clone)]
-pub struct Trace<T> {
-    records: Vec<(SimTime, T)>,
-}
-
-impl<T> Default for Trace<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Trace<T> {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Trace {
-            records: Vec::new(),
-        }
-    }
-
-    /// Appends a record at time `t`.
-    pub fn record(&mut self, t: SimTime, value: T) {
-        self.records.push((t, value));
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Iterates over records in chronological order.
-    pub fn iter(&self) -> impl Iterator<Item = (&SimTime, &T)> {
-        self.records.iter().map(|(t, v)| (t, v))
-    }
-}
-
-impl<'a, T> IntoIterator for &'a Trace<T> {
-    type Item = &'a (SimTime, T);
-    type IntoIter = std::slice::Iter<'a, (SimTime, T)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.records.iter()
-    }
-}
+use std::fmt::Write;
 
 /// Which of the dual stack's radios an event concerns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -418,16 +356,17 @@ impl TraceEvent {
         }
     }
 
-    /// The variant-specific NDJSON fields (everything after the common
-    /// header), as `"key":value` pairs.
-    fn fields(&self) -> String {
+    /// Appends the variant-specific NDJSON fields (everything after the
+    /// common header), each as `,"key":value`.
+    fn fields(&self, out: &mut String) -> std::fmt::Result {
         use crate::json::num;
         match *self {
             TraceEvent::PktEnqueue { node, pkt, bytes } => {
-                format!("\"node\":{node},\"pkt\":{pkt},\"bytes\":{bytes}")
+                write!(out, ",\"node\":{node},\"pkt\":{pkt},\"bytes\":{bytes}")
             }
-            TraceEvent::MacContend { node, class, bytes } => format!(
-                "\"node\":{node},\"class\":\"{}\",\"bytes\":{bytes}",
+            TraceEvent::MacContend { node, class, bytes } => write!(
+                out,
+                ",\"node\":{node},\"class\":\"{}\",\"bytes\":{bytes}",
                 class.label()
             ),
             TraceEvent::TxStart {
@@ -436,13 +375,15 @@ impl TraceEvent {
                 bytes,
                 air_ns,
                 preamble_ns,
-            } => format!(
-                "\"node\":{node},\"class\":\"{}\",\"bytes\":{bytes},\"air_ns\":{air_ns},\
+            } => write!(
+                out,
+                ",\"node\":{node},\"class\":\"{}\",\"bytes\":{bytes},\"air_ns\":{air_ns},\
                  \"preamble_ns\":{preamble_ns}",
                 class.label()
             ),
-            TraceEvent::RxStart { node, from, class } => format!(
-                "\"node\":{node},\"from\":{from},\"class\":\"{}\"",
+            TraceEvent::RxStart { node, from, class } => write!(
+                out,
+                ",\"node\":{node},\"from\":{from},\"class\":\"{}\"",
                 class.label()
             ),
             TraceEvent::RxEnd {
@@ -450,8 +391,9 @@ impl TraceEvent {
                 from,
                 class,
                 outcome,
-            } => format!(
-                "\"node\":{node},\"from\":{from},\"class\":\"{}\",\"outcome\":\"{}\"",
+            } => write!(
+                out,
+                ",\"node\":{node},\"from\":{from},\"class\":\"{}\",\"outcome\":\"{}\"",
                 class.label(),
                 outcome.label()
             ),
@@ -462,40 +404,49 @@ impl TraceEvent {
                 frame_ns,
                 ack_ns,
                 ifs_ns,
-            } => format!(
-                "\"node\":{node},\"peer\":{peer},\"bytes\":{bytes},\"frame_ns\":{frame_ns},\
+            } => write!(
+                out,
+                ",\"node\":{node},\"peer\":{peer},\"bytes\":{bytes},\"frame_ns\":{frame_ns},\
                  \"ack_ns\":{ack_ns},\"ifs_ns\":{ifs_ns}"
             ),
-            TraceEvent::AckOutcome { node, class, ok } => format!(
-                "\"node\":{node},\"class\":\"{}\",\"ok\":{ok}",
+            TraceEvent::AckOutcome { node, class, ok } => write!(
+                out,
+                ",\"node\":{node},\"class\":\"{}\",\"ok\":{ok}",
                 class.label()
             ),
             TraceEvent::PktDeliver {
                 node,
                 pkt,
                 delay_ns,
-            } => format!("\"node\":{node},\"pkt\":{pkt},\"delay_ns\":{delay_ns}"),
-            TraceEvent::PktDrop { node, pkt, reason } => format!(
-                "\"node\":{node},\"pkt\":{pkt},\"reason\":\"{}\"",
+            } => write!(
+                out,
+                ",\"node\":{node},\"pkt\":{pkt},\"delay_ns\":{delay_ns}"
+            ),
+            TraceEvent::PktDrop { node, pkt, reason } => write!(
+                out,
+                ",\"node\":{node},\"pkt\":{pkt},\"reason\":\"{}\"",
                 reason.label()
             ),
-            TraceEvent::RadioState { node, class, state } => format!(
-                "\"node\":{node},\"class\":\"{}\",\"state\":\"{}\"",
+            TraceEvent::RadioState { node, class, state } => write!(
+                out,
+                ",\"node\":{node},\"class\":\"{}\",\"state\":\"{}\"",
                 class.label(),
                 state.label()
             ),
             TraceEvent::PowerStep { node, remaining_j } => {
-                format!("\"node\":{node},\"remaining_j\":{}", num(remaining_j))
+                write!(out, ",\"node\":{node},\"remaining_j\":{}", num(remaining_j))
             }
-            TraceEvent::NodeDeath { node } => format!("\"node\":{node}"),
+            TraceEvent::NodeDeath { node } => write!(out, ",\"node\":{node}"),
             TraceEvent::RouteRepair { dead, partition } => {
-                format!("\"dead\":{dead},\"partition\":{partition}")
+                write!(out, ",\"dead\":{dead},\"partition\":{partition}")
             }
-            TraceEvent::RouteRefresh => String::new(),
+            TraceEvent::RouteRefresh => Ok(()),
             TraceEvent::LplSample { node, heard } => {
-                format!("\"node\":{node},\"heard\":{heard}")
+                write!(out, ",\"node\":{node},\"heard\":{heard}")
             }
-            TraceEvent::LplLock { node, from } => format!("\"node\":{node},\"from\":{from}"),
+            TraceEvent::LplLock { node, from } => {
+                write!(out, ",\"node\":{node},\"from\":{from}")
+            }
         }
     }
 }
@@ -512,8 +463,16 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
+/// A bound on the line [`TraceRecord::write_ndjson`] produces: a header
+/// of maximal integers (a 39-digit `ord`), the longest category (`radio`)
+/// and name (`route_refresh`), then `burst_frame`'s fields, the longest,
+/// at their maximal widths.
+const MAX_LINE: usize = 130 + 147 + 1;
+
 impl TraceRecord {
-    /// Serialises the record as one NDJSON line (no trailing newline).
+    /// Appends the record to `out` as one NDJSON line (no trailing
+    /// newline). Writing many records into one reused buffer costs no
+    /// allocation per record.
     ///
     /// Schema: every record carries the header `t_ns` (simulated
     /// nanoseconds), `depth` (causal depth at the same instant), `ord`
@@ -521,32 +480,82 @@ impl TraceRecord {
     /// number range), `cat` (`pkt|radio|power|route`) and `ev` (the
     /// variant name), followed by the variant's own fields
     /// (`node`, `class`, `bytes`, `reason`, …).
-    pub fn to_ndjson(&self) -> String {
-        let fields = self.ev.fields();
-        let sep = if fields.is_empty() { "" } else { "," };
-        format!(
-            "{{\"t_ns\":{},\"depth\":{},\"ord\":\"{}\",\"cat\":\"{}\",\"ev\":\"{}\"{sep}{fields}}}",
-            self.key.time.as_nanos(),
-            self.key.depth,
-            self.key.ord,
-            self.ev.cat().label(),
-            self.ev.name()
-        )
+    pub fn write_ndjson(&self, out: &mut String) {
+        out.push_str("{\"t_ns\":");
+        push_decimal(out, self.key.time.as_nanos().into());
+        out.push_str(",\"depth\":");
+        push_decimal(out, self.key.depth.into());
+        out.push_str(",\"ord\":\"");
+        push_decimal(out, self.key.ord);
+        out.push_str("\",\"cat\":\"");
+        out.push_str(self.ev.cat().label());
+        out.push_str("\",\"ev\":\"");
+        out.push_str(self.ev.name());
+        out.push('"');
+        // Writing into a `String` cannot fail.
+        let _ = self.ev.fields(out);
+        out.push('}');
     }
+
+    /// The record as one NDJSON line (no trailing newline), in a string
+    /// allocated once; see [`write_ndjson`](Self::write_ndjson).
+    pub fn to_ndjson(&self) -> String {
+        let mut line = String::with_capacity(MAX_LINE);
+        self.write_ndjson(&mut line);
+        line
+    }
+}
+
+/// Appends `v` in decimal, without a formatter round trip. Values past
+/// `u64` (most `ord`s) are split into 19-digit groups.
+fn push_decimal(out: &mut String, v: u128) {
+    const E19: u128 = 10_000_000_000_000_000_000;
+    match u64::try_from(v) {
+        Ok(v) => push_digits(out, v, 1),
+        Err(_) => {
+            push_decimal(out, v / E19);
+            push_digits(out, (v % E19) as u64, 19);
+        }
+    }
+}
+
+/// Appends `v` in decimal, zero-padded to at least `width` digits.
+fn push_digits(out: &mut String, mut v: u64, width: usize) {
+    let mut buf = [b'0'; 20];
+    let mut i = buf.len();
+    while v > 0 {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    let start = i.min(buf.len() - width);
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
 }
 
 /// Merges per-shard record streams into one deterministic total order.
 ///
 /// Each stream is already sorted by execution order on its shard. The merge
-/// stable-sorts the concatenation by `(key, node)`: keys give the engine's
-/// global order, and the node tie-break resolves the one legitimate
-/// cross-shard key collision (reception fan-out events share their
-/// transmission's key but concern disjoint receivers). Records with equal
-/// `(key, node)` always originate on a single shard, so stability makes the
-/// result independent of shard and thread count.
-pub fn merge_traces(parts: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
-    let mut all: Vec<TraceRecord> = parts.into_iter().flatten().collect();
-    all.sort_by_key(|a| (a.key, a.ev.node()));
+/// appends every other stream onto the largest one and stable-sorts the
+/// result by `(key, node)` unless it is in order already (a one-shard run
+/// usually is, and then comes back as its own buffer, uncopied): keys give
+/// the engine's global order, and the node tie-break resolves the one
+/// legitimate cross-shard key collision (reception fan-out events share
+/// their transmission's key but concern disjoint receivers). Records with
+/// equal `(key, node)` always originate on a single shard, so stability
+/// makes the result independent of shard and thread count.
+pub fn merge_traces(mut parts: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
+    let Some(largest) = (0..parts.len()).max_by_key(|&i| parts[i].len()) else {
+        return Vec::new();
+    };
+    let mut all = parts.swap_remove(largest);
+    all.reserve(parts.iter().map(Vec::len).sum());
+    for mut part in parts {
+        all.append(&mut part);
+    }
+    let order = |r: &TraceRecord| (r.key, r.ev.node());
+    if !all.windows(2).all(|w| order(&w[0]) <= order(&w[1])) {
+        all.sort_by_key(order);
+    }
     all
 }
 
@@ -554,15 +563,7 @@ pub fn merge_traces(parts: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn records_in_order() {
-        let mut t = Trace::new();
-        for i in 0..5u32 {
-            t.record(SimTime::from_secs(i as u64), i);
-        }
-        let vals: Vec<u32> = t.iter().map(|(_, v)| *v).collect();
-        assert_eq!(vals, vec![0, 1, 2, 3, 4]);
-    }
+    use crate::time::SimTime;
 
     fn key(ns: u64, depth: u32, ord: u128) -> EvKey {
         EvKey {
@@ -789,11 +790,39 @@ mod tests {
                 r#"{"t_ns":12,"depth":0,"ord":"11","cat":"radio","ev":"lpl_lock","node":9,"from":2}"#,
             ),
         ];
+        let mut buf = String::new();
+        let mut all = String::new();
         for (key, ev, want) in cases {
             let name = ev.name();
             let r = TraceRecord { key, ev };
             assert_eq!(r.to_ndjson(), want, "{name}");
+            // `write_ndjson` appends to whatever the buffer holds.
+            r.write_ndjson(&mut buf);
+            buf.push('\n');
+            all.push_str(want);
+            all.push('\n');
         }
+        assert_eq!(buf, all);
+    }
+
+    #[test]
+    fn the_longest_line_fits_one_allocation() {
+        let r = TraceRecord {
+            key: key(u64::MAX, u32::MAX, u128::MAX),
+            ev: TraceEvent::BurstFrame {
+                node: u32::MAX,
+                peer: u32::MAX,
+                bytes: u32::MAX,
+                frame_ns: u64::MAX,
+                ack_ns: u64::MAX,
+                ifs_ns: u64::MAX,
+            },
+        };
+        let line = r.to_ndjson();
+        // The bound takes the longest category and name; this line has
+        // `pkt` and `burst_frame`.
+        let shorter = "radio".len() - "pkt".len() + "route_refresh".len() - "burst_frame".len();
+        assert_eq!(line.len(), MAX_LINE - shorter);
     }
 
     #[test]
@@ -837,5 +866,25 @@ mod tests {
             vec![route.clone()],
         ]);
         assert_eq!(merged, vec![a, b, route, c]);
+    }
+
+    /// A part already in order is handed back as the same buffer, with
+    /// the (empty) coordinator part appended.
+    #[test]
+    fn merge_of_a_sorted_part_copies_nothing() {
+        let part: Vec<TraceRecord> = (0..100)
+            .map(|i| TraceRecord {
+                key: key(i, 0, 7),
+                ev: TraceEvent::NodeDeath { node: 1 },
+            })
+            .collect();
+        let want = part.clone();
+        let ptr = part.as_ptr();
+        let merged = merge_traces(vec![part]);
+        assert_eq!(merged.as_ptr(), ptr);
+        let merged = merge_traces(vec![merged, Vec::new()]);
+        assert_eq!(merged.as_ptr(), ptr);
+        assert_eq!(merged, want);
+        assert!(merge_traces(Vec::new()).is_empty());
     }
 }

@@ -30,7 +30,7 @@ use bcp_radio::device::{RadioState, RxOutcome};
 use bcp_sim::conservative::{Ctx, PdesShard};
 use bcp_sim::keyed::{CancelId, EvKey};
 use bcp_sim::time::{SimDuration, SimTime};
-use bcp_sim::trace::{Trace, TraceClass, TraceDrop, TraceEvent, TraceRecord, TraceRx};
+use bcp_sim::trace::{TraceClass, TraceDrop, TraceEvent, TraceRecord, TraceRx};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -108,7 +108,7 @@ pub(crate) struct ShardState {
     /// observational: recording never touches RNG streams, timers or
     /// event ordering, so a traced run is bit-identical to an untraced
     /// one. `None` (the default) costs a single branch per hook.
-    pub rec: Option<Box<Trace<TraceRecord>>>,
+    pub rec: Option<Vec<TraceRecord>>,
 }
 
 impl PdesShard for ShardState {
@@ -252,8 +252,8 @@ impl ShardState {
     /// recorder is attached, so the disabled path costs one branch and
     /// never constructs the event.
     pub(crate) fn trace_with(&mut self, key: EvKey, ev: impl FnOnce() -> TraceEvent) {
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.record(key.time, TraceRecord { key, ev: ev() });
+        if let Some(rec) = self.rec.as_mut() {
+            rec.push(TraceRecord { key, ev: ev() });
         }
     }
 

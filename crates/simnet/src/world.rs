@@ -34,7 +34,7 @@ use bcp_sim::keyed::ShardQueue;
 use bcp_sim::rng::Rng;
 use bcp_sim::threads::worker_count;
 use bcp_sim::time::{SimDuration, SimTime};
-use bcp_sim::trace::{merge_traces, Trace, TraceRecord};
+use bcp_sim::trace::{merge_traces, TraceRecord};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -532,7 +532,7 @@ impl Scaffold {
             metrics: Metrics::default(),
             death_latency: self.death_latency,
             events_logical: 0,
-            rec: trace.then(|| Box::new(Trace::new())),
+            rec: trace.then(Vec::new),
         }
     }
 }
@@ -678,6 +678,24 @@ impl LiveWorld {
         }
     }
 
+    /// Takes the trace records produced so far, merged across shards into
+    /// the one-shot trace's order, leaving each recorder attached. Every
+    /// event before the pause has run, so these records are final: the
+    /// records of a run drained at each pause, followed by its
+    /// [`finish`]'s trace, are exactly the one-shot run's trace. Empty
+    /// unless the run records a trace.
+    ///
+    /// [`finish`]: LiveWorld::finish
+    pub fn drain_trace(&mut self) -> Vec<TraceRecord> {
+        let mut parts: Vec<Vec<TraceRecord>> = self
+            .shards
+            .iter_mut()
+            .filter_map(|(s, _)| s.rec.as_mut().map(std::mem::take))
+            .collect();
+        parts.extend(self.control.trace.as_mut().map(std::mem::take));
+        merge_traces(parts)
+    }
+
     /// The next pause instant on a checkpoint grid of spacing `every`:
     /// `min(time() + every, end())`, or `None` once the horizon is
     /// reached — the natural loop bound for
@@ -746,6 +764,9 @@ impl LiveWorld {
     pub fn finish(mut self) -> RunOutput {
         let end = self.scaf.end;
         self.advance(end);
+        // The per-shard records (plus the coordinator's), handed over
+        // without a copy and merged into one deterministic stream.
+        let trace = self.drain_trace();
         let LiveWorld {
             scaf,
             shards,
@@ -754,29 +775,11 @@ impl LiveWorld {
             ..
         } = self;
         let k = scaf.part.k();
-        let mut shards: Vec<ShardState> = shards.into_iter().map(|(s, _)| s).collect();
+        let shards: Vec<ShardState> = shards.into_iter().map(|(s, _)| s).collect();
         // Logical event count: reception fan-outs counted once per
         // transmission phase (not once per hearing shard), so the figure
         // is identical for every shard count.
         let events = shards.iter().map(|s| s.events_logical).sum::<u64>() + control.global_events;
-
-        // Merge the per-shard trace slices (plus the coordinator's) into
-        // one deterministically ordered record stream.
-        let mut slices: Vec<Vec<TraceRecord>> = shards
-            .iter_mut()
-            .map(|s| match s.rec.take() {
-                // Copied into a fresh exact-size vector: collecting in place
-                // keeps the trace's wider (time, record) buffer, and over
-                // repeated traced runs in one process that raised peak RSS
-                // by a quarter.
-                Some(t) => t.iter().map(|(_, r)| r.clone()).collect(),
-                None => Vec::new(),
-            })
-            .collect();
-        if let Some(ctrl) = control.trace.take() {
-            slices.push(ctrl);
-        }
-        let trace = merge_traces(slices);
 
         // The engine fires samples only while events pend; continue the
         // grid from the final quiescent state and close exactly at the

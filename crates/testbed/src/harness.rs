@@ -18,7 +18,7 @@ use bcp_radio::profile::{cc2420, lucent_11m, RadioProfile};
 use bcp_sim::keyed::{CancelId, EvKey, Keyed, ShardQueue};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
-use bcp_sim::trace::{Trace, TraceClass, TraceEvent, TraceRadioState, TraceRecord};
+use bcp_sim::trace::{TraceClass, TraceEvent, TraceRadioState, TraceRecord};
 use std::collections::HashMap;
 
 /// Which curve of Fig. 11 is being measured.
@@ -82,7 +82,7 @@ pub struct TestbedRun {
     pub generated: u64,
     /// The raw event log (the prototype's measurement artifact), in the
     /// same flight-recorder vocabulary the sharded world emits.
-    pub trace: Trace<TraceRecord>,
+    pub trace: Vec<TraceRecord>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +137,7 @@ const RECEIVER: NodeId = NodeId(0);
 struct Harness {
     cfg: TestbedConfig,
     mode: TestbedMode,
-    trace: Trace<TraceRecord>,
+    trace: Vec<TraceRecord>,
     /// Monotone tie-break for trace keys (every testbed event keys alike,
     /// so record order is the total order).
     seq: u128,
@@ -163,7 +163,7 @@ pub fn run(cfg: &TestbedConfig, mode: TestbedMode) -> TestbedRun {
     let mut h = Harness {
         cfg: cfg.clone(),
         mode,
-        trace: Trace::new(),
+        trace: Vec::new(),
         seq: 0,
         bcp_tx: BcpSender::new(SENDER, bcp_cfg.clone()),
         bcp_rx: BcpReceiver::new(RECEIVER, bcp_cfg),
@@ -206,7 +206,7 @@ impl Harness {
             ord: self.seq,
         };
         self.seq += 1;
-        self.trace.record(now, TraceRecord { key, ev });
+        self.trace.push(TraceRecord { key, ev });
     }
 
     /// One low-radio link transfer (data or control), charged by the log

@@ -7,12 +7,12 @@
 //! calculate energy consumption and delay." This module is that pipeline:
 //! the harness only *logs* — as [`bcp_sim::trace::TraceRecord`]s, the same
 //! records the sharded world emits — and all energy numbers are derived
-//! afterwards from the [`Trace`] by [`LogAccounting`].
+//! afterwards from those records by [`LogAccounting`].
 
 use bcp_radio::profile::RadioProfile;
 use bcp_radio::units::Energy;
 use bcp_sim::time::{SimDuration, SimTime};
-use bcp_sim::trace::{Trace, TraceClass, TraceEvent, TraceRadioState, TraceRecord};
+use bcp_sim::trace::{TraceClass, TraceEvent, TraceRadioState, TraceRecord};
 
 /// Which end of the two-node testbed an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +56,8 @@ pub struct LogAccounting {
 
 impl LogAccounting {
     /// Computes energy and delay from a trace, given the two radio
-    /// profiles. `end` closes any still-open radio-on span.
+    /// profiles. Each record's time is its key's. `end` closes any
+    /// still-open radio-on span.
     ///
     /// Records it reads: [`TraceEvent::TxStart`] on the low radio (one
     /// CC2420 link transfer, charged to both ends),
@@ -70,7 +71,7 @@ impl LogAccounting {
     /// Panics if the log is inconsistent (e.g. a high radio going `Off`
     /// without a matching `Waking`).
     pub fn from_trace(
-        trace: &Trace<TraceRecord>,
+        trace: &[TraceRecord],
         low: &RadioProfile,
         high: &RadioProfile,
         end: SimTime,
@@ -85,7 +86,8 @@ impl LogAccounting {
         let mut delivered = 0u64;
         let mut delay_sum = SimDuration::ZERO;
         let idx = |node: u32| usize::from(node != Side::Sender.node());
-        for (t, r) in trace.iter() {
+        for r in trace {
+            let t = r.key.time;
             match &r.ev {
                 TraceEvent::TxStart {
                     class: TraceClass::Low,
@@ -103,7 +105,7 @@ impl LogAccounting {
                     match state {
                         TraceRadioState::Waking => {
                             assert!(on_since[i].is_none(), "high radio on while already on");
-                            on_since[i] = Some(*t);
+                            on_since[i] = Some(t);
                             wakeup += high.e_wakeup;
                         }
                         TraceRadioState::Off => {
@@ -187,13 +189,13 @@ mod tests {
     use bcp_radio::profile::{cc2420, lucent_11m};
     use bcp_sim::keyed::EvKey;
 
-    fn rec(tr: &mut Trace<TraceRecord>, t: SimTime, ev: TraceEvent) {
+    fn rec(tr: &mut Vec<TraceRecord>, t: SimTime, ev: TraceEvent) {
         let key = EvKey {
             time: t,
             depth: 0,
             ord: tr.len() as u128,
         };
-        tr.record(t, TraceRecord { key, ev });
+        tr.push(TraceRecord { key, ev });
     }
 
     fn low_tx(bytes: u32) -> TraceEvent {
@@ -216,7 +218,7 @@ mod tests {
 
     #[test]
     fn low_transfers_charge_link_energy() {
-        let mut tr = Trace::new();
+        let mut tr = Vec::new();
         rec(&mut tr, SimTime::from_millis(1), low_tx(20));
         let acc = LogAccounting::from_trace(&tr, &cc2420(), &lucent_11m(), SimTime::from_secs(1));
         let expect = cc2420().link_energy(20);
@@ -226,7 +228,7 @@ mod tests {
 
     #[test]
     fn high_span_splits_idle_and_active() {
-        let mut tr = Trace::new();
+        let mut tr = Vec::new();
         rec(
             &mut tr,
             SimTime::ZERO,
@@ -266,7 +268,7 @@ mod tests {
 
     #[test]
     fn open_span_closed_at_end() {
-        let mut tr = Trace::new();
+        let mut tr = Vec::new();
         rec(
             &mut tr,
             SimTime::ZERO,
@@ -280,7 +282,7 @@ mod tests {
 
     #[test]
     fn delay_mean_over_deliveries() {
-        let mut tr = Trace::new();
+        let mut tr = Vec::new();
         rec(
             &mut tr,
             SimTime::from_secs(5),
@@ -307,7 +309,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "high radio off without on")]
     fn inconsistent_log_panics() {
-        let mut tr = Trace::new();
+        let mut tr = Vec::new();
         rec(
             &mut tr,
             SimTime::ZERO,
@@ -318,7 +320,7 @@ mod tests {
 
     #[test]
     fn empty_log_zero_energy_infinite_per_packet() {
-        let tr: Trace<TraceRecord> = Trace::new();
+        let tr: Vec<TraceRecord> = Vec::new();
         let acc = LogAccounting::from_trace(&tr, &cc2420(), &lucent_11m(), SimTime::from_secs(1));
         assert_eq!(acc.total, Energy::ZERO);
         assert!(acc.energy_per_packet_uj().is_infinite());
