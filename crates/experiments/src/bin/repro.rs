@@ -32,16 +32,20 @@
 //!   comma-separated categories out of `pkt,radio,power,route`), and
 //!   `--series` writes one NDJSON delta sample per `--series-every`
 //!   seconds of sim time (default 1). Neither switch perturbs the run:
-//!   the printed `RunStats` are bit-identical either way.
+//!   the printed `RunStats` are bit-identical either way. Both files are
+//!   written as the run goes, through a buffered writer.
 //! * `--checkpoint-every` additionally pauses the run on that grid of sim
-//!   instants and writes a versioned, checksummed checkpoint file per
-//!   pause into `--ckpt <dir>`; the printed `RunStats` are bit-identical
-//!   to an uninterrupted run. `repro resume <file.ckpt>` finishes a
-//!   checkpointed run (optionally re-partitioned with `--shards`) and
-//!   prints the same `RunStats` JSON the uninterrupted run would have;
-//!   its `--trace`/`--series` switches *append* to the named NDJSON
-//!   files, covering exactly the post-checkpoint segment, so resuming on
-//!   top of the original run's files yields the uninterrupted streams.
+//!   instants and, at each pause, writes out the trace and series up to
+//!   it, then a versioned, checksummed checkpoint file into
+//!   `--ckpt <dir>`; the printed `RunStats` and the NDJSON files are
+//!   bit-identical to an uninterrupted run's. `repro resume <file.ckpt>`
+//!   finishes a checkpointed run (optionally re-partitioned with
+//!   `--shards`) and prints the same `RunStats` JSON the uninterrupted
+//!   run would have; its `--trace`/`--series` switches *append* to the
+//!   named NDJSON files from the checkpoint on, so resuming the last
+//!   checkpoint of a run that stopped after saving it yields the
+//!   uninterrupted streams (resuming a finished run writes the tail
+//!   again).
 //! * `repro explore` runs the bounded race explorer: every admissible
 //!   same-timestamp event ordering from a checkpoint (or from a scenario
 //!   warmed for `--warm` seconds) up to `--until`, checking the engine's
@@ -58,10 +62,12 @@
 
 use bcp_experiments::{all, find, Output, Quality, RunCtx};
 use bcp_sim::time::{SimDuration, SimTime};
-use bcp_sim::trace::TraceCat;
-use bcp_simnet::{parse_spec, ExploreLimits, LiveWorld, RunOptions, RunOutput, World, WorldState};
+use bcp_sim::trace::{TraceCat, TraceRecord};
+use bcp_simnet::{
+    parse_spec, ExploreLimits, LiveWorld, RunOptions, SeriesSample, World, WorldState,
+};
 use std::collections::HashSet;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -414,38 +420,7 @@ fn run_scenario_file(path: &Path, cli: &Cli) -> ExitCode {
         scenario.duration
     );
     let started = std::time::Instant::now();
-    let opts = run_options(cli);
-    let stem = file_stem(path);
-    let out = match (cli.checkpoint_every, &cli.ckpt_dir) {
-        (Some(every), Some(dir)) => {
-            // Probe writability before building the world: a read-only
-            // or mis-permissioned directory must fail here, not at the
-            // first grid pause with the run's work already spent.
-            if let Err(e) = bcp_snapshot::cache::ensure_writable_dir(dir) {
-                eprintln!("--ckpt {} is not a writable directory: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-            let every = SimDuration::from_secs_f64(every);
-            let meta = run_meta(cli);
-            let mut lw = World::build(&scenario, &opts);
-            // Pause on the checkpoint grid, persist, keep going: the
-            // final stats are bit-identical to the uninterrupted run
-            // (capture is a pure read of the paused world).
-            while lw.time() + every < lw.end() {
-                let t = lw.time() + every;
-                lw.run_to(t);
-                let file = dir.join(format!("{stem}-{}s.ckpt", t.as_secs_f64()));
-                if let Err(e) = bcp_snapshot::save_with_meta(&file, &lw.snapshot(), &meta) {
-                    eprintln!("cannot write checkpoint {}: {e}", file.display());
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("  checkpoint at {t} -> {}", file.display());
-            }
-            lw.finish()
-        }
-        _ => scenario.run_with(&opts),
-    };
-    if let Err(e) = emit_run_outputs(&out, cli, &stem, false) {
+    if let Err(e) = execute_run(&scenario, cli, &file_stem(path)) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }
@@ -453,10 +428,65 @@ fn run_scenario_file(path: &Path, cli: &Cli) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Runs a parsed scenario, writing its trace and series as it goes and,
+/// with `--checkpoint-every`, a checkpoint per grid pause.
+fn execute_run(scenario: &bcp_simnet::Scenario, cli: &Cli, stem: &str) -> Result<(), String> {
+    let grid = match (cli.checkpoint_every, &cli.ckpt_dir) {
+        (Some(every), Some(dir)) => {
+            // Probe writability before building the world: a read-only
+            // or mis-permissioned directory must fail here, not at the
+            // first grid pause with the run's work already spent.
+            bcp_snapshot::cache::ensure_writable_dir(dir).map_err(|e| {
+                format!("--ckpt {} is not a writable directory: {e}", dir.display())
+            })?;
+            Some((SimDuration::from_secs_f64(every), dir))
+        }
+        _ => None,
+    };
+    let mut streams = Streams::open(cli, false)?;
+    let mut lw = World::build(scenario, &run_options(cli));
+    if let Some((every, dir)) = grid {
+        let meta = run_meta(cli);
+        // Pause on the checkpoint grid: write out the streams up to the
+        // pause, then the checkpoint, so a run stopped after saving it
+        // leaves on disk exactly what precedes it. The final stats are
+        // bit-identical to the uninterrupted run (capture is a pure read
+        // of the paused world).
+        while lw.time() + every < lw.end() {
+            let t = lw.time() + every;
+            lw.run_to(t);
+            streams.write(&lw.drain_trace(), &lw.drain_series())?;
+            let file = dir.join(format!("{stem}-{}s.ckpt", t.as_secs_f64()));
+            bcp_snapshot::save_with_meta(&file, &lw.snapshot(), &meta)
+                .map_err(|e| format!("cannot write checkpoint {}: {e}", file.display()))?;
+            eprintln!("  checkpoint at {t} -> {}", file.display());
+        }
+    }
+    finish_run(lw, streams, cli, stem)
+}
+
+/// Finishes a run: writes the rest of its streams, then prints (and,
+/// with `--out`, persists) the stats JSON.
+fn finish_run(lw: LiveWorld, mut streams: Streams, cli: &Cli, stem: &str) -> Result<(), String> {
+    let out = lw.finish();
+    streams.write(&out.trace, &out.series)?;
+    streams.report();
+    let json = out.stats.to_json();
+    println!("{json}");
+    if let Some(dir) = &cli.out_dir {
+        std::fs::write(dir.join(format!("{stem}.json")), &json)
+            .map_err(|e| format!("cannot persist stats: {e}"))?;
+    }
+    Ok(())
+}
+
 /// `repro resume <file.ckpt>`: load, restore (optionally re-sharded),
 /// finish, print the run's `RunStats` JSON. Trace/series files are opened
-/// in append mode so a resume continues the original run's streams
-/// without re-emitting anything from before the checkpoint.
+/// in append mode and receive the records from the checkpoint on. A run
+/// that stopped after saving this checkpoint wrote exactly the records
+/// before it, so the files then hold the uninterrupted streams; a run
+/// that went on past it (one that finished, say) already wrote the
+/// tail, and the resume writes it again.
 ///
 /// The checkpoint records the original run's series interval and trace
 /// filter ([`bcp_snapshot::RunMeta`]); flags that contradict the recorded
@@ -488,8 +518,11 @@ fn run_resume(path: &Path, cli: &mut Cli) -> ExitCode {
         if state.scen.shards == 1 { "" } else { "s" }
     );
     let started = std::time::Instant::now();
-    let out = LiveWorld::restore(&state, &run_options(cli)).finish();
-    if let Err(e) = emit_run_outputs(&out, cli, &file_stem(path), true) {
+    let run = Streams::open(cli, true).and_then(|streams| {
+        let lw = LiveWorld::restore(&state, &run_options(cli));
+        finish_run(lw, streams, cli, &file_stem(path))
+    });
+    if let Err(e) = run {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }
@@ -683,63 +716,107 @@ fn file_stem(path: &Path) -> String {
         .unwrap_or_else(|| "scenario".into())
 }
 
-/// Writes the trace/series NDJSON streams and prints (and, with `--out`,
-/// persists) the stats JSON. `append` is the resume path: the NDJSON
-/// files grow instead of being truncated, so the combined file holds the
-/// uninterrupted streams.
-fn emit_run_outputs(out: &RunOutput, cli: &Cli, stem: &str, append: bool) -> Result<(), String> {
-    if let Some(file) = &cli.trace {
-        let mut ndjson = String::new();
-        let mut kept = 0usize;
-        for r in &out.trace {
-            if cli.trace_filter.is_empty() || cli.trace_filter.contains(&r.ev.cat()) {
-                ndjson.push_str(&r.to_ndjson());
-                ndjson.push('\n');
-                kept += 1;
-            }
-        }
-        write_ndjson(file, &ndjson, append)
-            .map_err(|e| format!("cannot write trace {}: {e}", file.display()))?;
-        eprintln!(
-            "  trace: {kept}/{} records {} {}",
-            out.trace.len(),
-            if append { "appended to" } else { "->" },
-            file.display()
-        );
-    }
-    if let Some(file) = &cli.series {
-        let mut ndjson = String::new();
-        for s in &out.series {
-            ndjson.push_str(&s.to_ndjson());
-            ndjson.push('\n');
-        }
-        write_ndjson(file, &ndjson, append)
-            .map_err(|e| format!("cannot write series {}: {e}", file.display()))?;
-        eprintln!(
-            "  series: {} samples {} {}",
-            out.series.len(),
-            if append { "appended to" } else { "->" },
-            file.display()
-        );
-    }
-    let json = out.stats.to_json();
-    println!("{json}");
-    if let Some(dir) = &cli.out_dir {
-        std::fs::write(dir.join(format!("{stem}.json")), &json)
-            .map_err(|e| format!("cannot persist stats: {e}"))?;
-    }
-    Ok(())
+/// A run's `--trace` and `--series` NDJSON files, written as the run
+/// goes. `append` is the resume path: the files grow instead of being
+/// truncated.
+struct Streams {
+    trace: Option<NdjsonFile>,
+    series: Option<NdjsonFile>,
+    filter: Vec<TraceCat>,
+    /// Trace records the run produced, kept by the filter or not.
+    records: usize,
+    append: bool,
 }
 
-fn write_ndjson(path: &Path, text: &str, append: bool) -> std::io::Result<()> {
-    if append {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
+impl Streams {
+    fn open(cli: &Cli, append: bool) -> Result<Streams, String> {
+        let open = |path: &Option<PathBuf>| {
+            path.as_deref()
+                .map(|p| NdjsonFile::open(p, append))
+                .transpose()
+        };
+        Ok(Streams {
+            trace: open(&cli.trace)?,
+            series: open(&cli.series)?,
+            filter: cli.trace_filter.clone(),
+            records: 0,
+            append,
+        })
+    }
+
+    /// Appends a batch of trace records and series samples, then flushes
+    /// both files.
+    fn write(&mut self, trace: &[TraceRecord], series: &[SeriesSample]) -> Result<(), String> {
+        self.records += trace.len();
+        if let Some(f) = &mut self.trace {
+            let kept = trace
+                .iter()
+                .filter(|r| self.filter.is_empty() || self.filter.contains(&r.ev.cat()));
+            for r in kept {
+                f.line(|l| r.write_ndjson(l))?;
+            }
+            f.flush()?;
+        }
+        if let Some(f) = &mut self.series {
+            for s in series {
+                f.line(|l| l.push_str(&s.to_ndjson()))?;
+            }
+            f.flush()?;
+        }
+        Ok(())
+    }
+
+    fn report(&self) {
+        let to = if self.append { "appended to" } else { "->" };
+        if let Some(f) = &self.trace {
+            let path = f.path.display();
+            eprintln!("  trace: {}/{} records {to} {path}", f.lines, self.records);
+        }
+        if let Some(f) = &self.series {
+            eprintln!("  series: {} samples {to} {}", f.lines, f.path.display());
+        }
+    }
+}
+
+/// One NDJSON file: each line is formatted into one reused buffer and
+/// goes out through a `BufWriter`, so no whole-file string is built.
+struct NdjsonFile {
+    path: PathBuf,
+    out: BufWriter<std::fs::File>,
+    line: String,
+    lines: usize,
+}
+
+impl NdjsonFile {
+    fn open(path: &Path, append: bool) -> Result<NdjsonFile, String> {
+        let file = std::fs::OpenOptions::new()
+            .write(true)
             .create(true)
-            .open(path)?;
-        f.write_all(text.as_bytes())
-    } else {
-        std::fs::write(path, text)
+            .append(append)
+            .truncate(!append)
+            .open(path)
+            .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+        Ok(NdjsonFile {
+            path: path.to_path_buf(),
+            out: BufWriter::new(file),
+            line: String::new(),
+            lines: 0,
+        })
+    }
+
+    /// Writes the line `fill` formats.
+    fn line(&mut self, fill: impl FnOnce(&mut String)) -> Result<(), String> {
+        self.line.clear();
+        fill(&mut self.line);
+        self.line.push('\n');
+        self.lines += 1;
+        let written = self.out.write_all(self.line.as_bytes());
+        written.map_err(|e| format!("cannot write {}: {e}", self.path.display()))
+    }
+
+    fn flush(&mut self) -> Result<(), String> {
+        let flushed = self.out.flush();
+        flushed.map_err(|e| format!("cannot write {}: {e}", self.path.display()))
     }
 }
 

@@ -8,13 +8,15 @@
 //!   `tests/golden/traces.txt`;
 //! * per-window series deltas telescope exactly to the end-of-run
 //!   globals;
+//! * a trace and series drained at pauses, then finished from a restored
+//!   snapshot, add up to the uninterrupted run's;
 //! * trace and series records round-trip through the NDJSON emitters and
 //!   the hand-rolled JSON parser.
 
 use bcp_power::{Battery, PowerConfig};
-use bcp_sim::time::SimDuration;
+use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::{TraceCat, TraceRecord};
-use bcp_simnet::{parse_spec, EngineStats, ModelKind, RunOptions, Scenario};
+use bcp_simnet::{parse_spec, EngineStats, LiveWorld, ModelKind, RunOptions, Scenario, World};
 use bcp_snapshot::cache::sha256_hex;
 use std::path::PathBuf;
 
@@ -36,19 +38,21 @@ fn checked_in_scenarios() -> Vec<(String, Scenario)> {
     for path in names {
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
         let text = std::fs::read_to_string(&path).expect("readable spec");
-        let mut scen = parse_spec(&text).expect("spec parses");
-        let cap = if scen.topo.len() > 500 {
-            SimDuration::from_secs(2)
-        } else {
-            SimDuration::from_secs(10)
-        };
-        scen.duration = scen.duration.min(cap);
-        if let Some(c) = scen.traffic_cutoff {
-            scen.traffic_cutoff = Some(c.min(cap));
-        }
-        out.push((name, scen));
+        let scen = parse_spec(&text).expect("spec parses");
+        let cap = if scen.topo.len() > 500 { 2 } else { 10 };
+        out.push((name, clamped(scen, cap)));
     }
     out
+}
+
+/// `scen` with its horizon (and traffic cutoff) clamped to `secs`.
+fn clamped(mut scen: Scenario, secs: u64) -> Scenario {
+    let cap = SimDuration::from_secs(secs);
+    scen.duration = scen.duration.min(cap);
+    if let Some(c) = scen.traffic_cutoff {
+        scen.traffic_cutoff = Some(c.min(cap));
+    }
+    scen
 }
 
 /// A dual-radio grid with two batteries sized so both nodes die inside
@@ -76,7 +80,7 @@ fn without_engine(mut stats: bcp_simnet::RunStats) -> bcp_simnet::RunStats {
 fn trace_digest(name: &str, shards: usize, trace: &[TraceRecord]) -> String {
     let mut ndjson = String::new();
     for r in trace {
-        ndjson.push_str(&r.to_ndjson());
+        r.write_ndjson(&mut ndjson);
         ndjson.push('\n');
     }
     format!(
@@ -167,6 +171,59 @@ fn merged_trace_is_shard_count_invariant() {
         digests.push(trace_digest("death", k, &sharded.trace));
     }
     assert_trace_digests(&digests);
+}
+
+/// What `repro run --checkpoint-every` writes before each checkpoint,
+/// plus what `repro resume` appends: the trace and series drained on a
+/// 10 s grid up to a 30 s snapshot, then the restored snapshot's
+/// `finish`. Together they are the uninterrupted run's, record for
+/// record — lifetime's 30 s route refresh included, which runs after
+/// the snapshot and is merged after the shard records.
+#[test]
+fn drained_streams_and_a_resume_add_up_to_the_uninterrupted_run() {
+    let opts = RunOptions {
+        trace: true,
+        series_every: Some(SimDuration::from_secs(1)),
+        ..RunOptions::default()
+    };
+    for (name, shards) in [
+        ("lifetime", 1),
+        ("lifetime", 4),
+        ("single_hop", 1),
+        ("broadcast_demo", 1),
+    ] {
+        let text = std::fs::read_to_string(specs_dir().join(format!("{name}.scn")))
+            .expect("readable spec");
+        let mut scen = clamped(parse_spec(&text).expect("spec parses"), 40);
+        scen.shards = shards;
+        let whole = scen.run_with(&opts);
+        let mut lw = World::build(&scen, &opts);
+        let (mut trace, mut series) = (Vec::new(), Vec::new());
+        for s in [10, 20, 30] {
+            lw.run_to(SimTime::from_secs(s));
+            let drained = lw.drain_trace();
+            assert!(!drained.is_empty(), "{name}/{shards}: records by {s} s");
+            trace.extend(drained);
+            series.extend(lw.drain_series());
+        }
+        let rest = LiveWorld::restore(&lw.snapshot(), &opts).finish();
+        if name == "lifetime" {
+            assert!(
+                rest.trace.iter().any(|r| r.ev.cat() == TraceCat::Route),
+                "{name}/{shards}: the route refresh follows the snapshot"
+            );
+        }
+        trace.extend(rest.trace);
+        series.extend(rest.series);
+        assert!(
+            trace == whole.trace,
+            "{name}/{shards}: drained trace differs"
+        );
+        assert!(
+            series == whole.series,
+            "{name}/{shards}: drained series differs"
+        );
+    }
 }
 
 #[test]
