@@ -29,10 +29,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A sense-free generation barrier that spins briefly before yielding —
-/// window turnarounds are far shorter than an OS park/unpark cycle.
+/// window turnarounds are far shorter than an OS park/unpark cycle. With
+/// more parties than the host has cores a waiter would spin on the core
+/// the last party needs, so such a barrier yields at once.
 #[derive(Debug)]
 pub struct SpinBarrier {
     parties: usize,
+    /// Spins before the first yield: 4,096, or 0 when oversubscribed.
+    spins: u32,
     arrived: AtomicUsize,
     generation: AtomicUsize,
     poisoned: AtomicBool,
@@ -42,8 +46,10 @@ impl SpinBarrier {
     /// A barrier for `parties` threads.
     pub fn new(parties: usize) -> Self {
         assert!(parties > 0, "barrier needs at least one party");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         SpinBarrier {
             parties,
+            spins: if parties <= cores { 4_096 } else { 0 },
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
@@ -82,7 +88,7 @@ impl SpinBarrier {
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == gen {
             spins += 1;
-            if spins < 4_096 {
+            if spins < self.spins {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
@@ -1489,5 +1495,12 @@ mod tests {
             barrier.wait();
             assert_eq!(counter.load(Ordering::SeqCst), 6);
         });
+    }
+
+    #[test]
+    fn spin_barrier_spins_only_with_a_core_per_party() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(SpinBarrier::new(cores).spins, 4_096);
+        assert_eq!(SpinBarrier::new(cores + 1).spins, 0);
     }
 }
