@@ -358,45 +358,46 @@ impl TraceEvent {
 
     /// Appends the variant-specific NDJSON fields (everything after the
     /// common header), each as `,"key":value`.
-    fn fields(&self, out: &mut String) -> std::fmt::Result {
-        use crate::json::num;
+    fn fields(&self, out: &mut String) {
+        let mut f = Fields(out);
         match *self {
             TraceEvent::PktEnqueue { node, pkt, bytes } => {
-                write!(out, ",\"node\":{node},\"pkt\":{pkt},\"bytes\":{bytes}")
+                f.int("node", node).int("pkt", pkt).int("bytes", bytes);
             }
-            TraceEvent::MacContend { node, class, bytes } => write!(
-                out,
-                ",\"node\":{node},\"class\":\"{}\",\"bytes\":{bytes}",
-                class.label()
-            ),
+            TraceEvent::MacContend { node, class, bytes } => {
+                f.int("node", node)
+                    .label("class", class.label())
+                    .int("bytes", bytes);
+            }
             TraceEvent::TxStart {
                 node,
                 class,
                 bytes,
                 air_ns,
                 preamble_ns,
-            } => write!(
-                out,
-                ",\"node\":{node},\"class\":\"{}\",\"bytes\":{bytes},\"air_ns\":{air_ns},\
-                 \"preamble_ns\":{preamble_ns}",
-                class.label()
-            ),
-            TraceEvent::RxStart { node, from, class } => write!(
-                out,
-                ",\"node\":{node},\"from\":{from},\"class\":\"{}\"",
-                class.label()
-            ),
+            } => {
+                f.int("node", node)
+                    .label("class", class.label())
+                    .int("bytes", bytes)
+                    .int("air_ns", air_ns)
+                    .int("preamble_ns", preamble_ns);
+            }
+            TraceEvent::RxStart { node, from, class } => {
+                f.int("node", node)
+                    .int("from", from)
+                    .label("class", class.label());
+            }
             TraceEvent::RxEnd {
                 node,
                 from,
                 class,
                 outcome,
-            } => write!(
-                out,
-                ",\"node\":{node},\"from\":{from},\"class\":\"{}\",\"outcome\":\"{}\"",
-                class.label(),
-                outcome.label()
-            ),
+            } => {
+                f.int("node", node)
+                    .int("from", from)
+                    .label("class", class.label())
+                    .label("outcome", outcome.label());
+            }
             TraceEvent::BurstFrame {
                 node,
                 peer,
@@ -404,50 +405,93 @@ impl TraceEvent {
                 frame_ns,
                 ack_ns,
                 ifs_ns,
-            } => write!(
-                out,
-                ",\"node\":{node},\"peer\":{peer},\"bytes\":{bytes},\"frame_ns\":{frame_ns},\
-                 \"ack_ns\":{ack_ns},\"ifs_ns\":{ifs_ns}"
-            ),
-            TraceEvent::AckOutcome { node, class, ok } => write!(
-                out,
-                ",\"node\":{node},\"class\":\"{}\",\"ok\":{ok}",
-                class.label()
-            ),
+            } => {
+                f.int("node", node)
+                    .int("peer", peer)
+                    .int("bytes", bytes)
+                    .int("frame_ns", frame_ns)
+                    .int("ack_ns", ack_ns)
+                    .int("ifs_ns", ifs_ns);
+            }
+            TraceEvent::AckOutcome { node, class, ok } => {
+                f.int("node", node)
+                    .label("class", class.label())
+                    .flag("ok", ok);
+            }
             TraceEvent::PktDeliver {
                 node,
                 pkt,
                 delay_ns,
-            } => write!(
-                out,
-                ",\"node\":{node},\"pkt\":{pkt},\"delay_ns\":{delay_ns}"
-            ),
-            TraceEvent::PktDrop { node, pkt, reason } => write!(
-                out,
-                ",\"node\":{node},\"pkt\":{pkt},\"reason\":\"{}\"",
-                reason.label()
-            ),
-            TraceEvent::RadioState { node, class, state } => write!(
-                out,
-                ",\"node\":{node},\"class\":\"{}\",\"state\":\"{}\"",
-                class.label(),
-                state.label()
-            ),
+            } => {
+                f.int("node", node)
+                    .int("pkt", pkt)
+                    .int("delay_ns", delay_ns);
+            }
+            TraceEvent::PktDrop { node, pkt, reason } => {
+                f.int("node", node)
+                    .int("pkt", pkt)
+                    .label("reason", reason.label());
+            }
+            TraceEvent::RadioState { node, class, state } => {
+                f.int("node", node)
+                    .label("class", class.label())
+                    .label("state", state.label());
+            }
             TraceEvent::PowerStep { node, remaining_j } => {
-                write!(out, ",\"node\":{node},\"remaining_j\":{}", num(remaining_j))
+                f.int("node", node).num("remaining_j", remaining_j);
             }
-            TraceEvent::NodeDeath { node } => write!(out, ",\"node\":{node}"),
+            TraceEvent::NodeDeath { node } => {
+                f.int("node", node);
+            }
             TraceEvent::RouteRepair { dead, partition } => {
-                write!(out, ",\"dead\":{dead},\"partition\":{partition}")
+                f.int("dead", dead).flag("partition", partition);
             }
-            TraceEvent::RouteRefresh => Ok(()),
+            TraceEvent::RouteRefresh => {}
             TraceEvent::LplSample { node, heard } => {
-                write!(out, ",\"node\":{node},\"heard\":{heard}")
+                f.int("node", node).flag("heard", heard);
             }
             TraceEvent::LplLock { node, from } => {
-                write!(out, ",\"node\":{node},\"from\":{from}")
+                f.int("node", node).int("from", from);
             }
         }
+    }
+}
+
+/// Appends `,"key":value` fields to an NDJSON line.
+struct Fields<'a>(&'a mut String);
+
+impl Fields<'_> {
+    /// Starts a field: `,"key":`.
+    fn key(&mut self, key: &str) -> &mut String {
+        self.0.push_str(",\"");
+        self.0.push_str(key);
+        self.0.push_str("\":");
+        self.0
+    }
+
+    fn int(&mut self, key: &str, v: impl Into<u64>) -> &mut Self {
+        push_u64(self.key(key), v.into());
+        self
+    }
+
+    /// A string field holding one of the vocabulary's labels, which need
+    /// no escaping.
+    fn label(&mut self, key: &str, v: &str) -> &mut Self {
+        let out = self.key(key);
+        out.push('"');
+        out.push_str(v);
+        out.push('"');
+        self
+    }
+
+    fn flag(&mut self, key: &str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    fn num(&mut self, key: &str, v: f64) -> &mut Self {
+        self.key(key).push_str(&crate::json::num(v));
+        self
     }
 }
 
@@ -482,18 +526,19 @@ impl TraceRecord {
     /// (`node`, `class`, `bytes`, `reason`, …).
     pub fn write_ndjson(&self, out: &mut String) {
         out.push_str("{\"t_ns\":");
-        push_decimal(out, self.key.time.as_nanos().into());
+        push_u64(out, self.key.time.as_nanos());
         out.push_str(",\"depth\":");
-        push_decimal(out, self.key.depth.into());
+        push_u64(out, self.key.depth.into());
         out.push_str(",\"ord\":\"");
-        push_decimal(out, self.key.ord);
+        // `ord` usually needs all 128 bits; std formats those faster than
+        // splitting off 19-digit groups with 128-bit divisions would.
+        let _ = write!(out, "{}", self.key.ord);
         out.push_str("\",\"cat\":\"");
         out.push_str(self.ev.cat().label());
         out.push_str("\",\"ev\":\"");
         out.push_str(self.ev.name());
         out.push('"');
-        // Writing into a `String` cannot fail.
-        let _ = self.ev.fields(out);
+        self.ev.fields(out);
         out.push('}');
     }
 
@@ -506,30 +551,34 @@ impl TraceRecord {
     }
 }
 
-/// Appends `v` in decimal, without a formatter round trip. Values past
-/// `u64` (most `ord`s) are split into 19-digit groups.
-fn push_decimal(out: &mut String, v: u128) {
-    const E19: u128 = 10_000_000_000_000_000_000;
-    match u64::try_from(v) {
-        Ok(v) => push_digits(out, v, 1),
-        Err(_) => {
-            push_decimal(out, v / E19);
-            push_digits(out, (v % E19) as u64, 19);
-        }
+/// The two ASCII digits of every number below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-}
+    pairs
+};
 
-/// Appends `v` in decimal, zero-padded to at least `width` digits.
-fn push_digits(out: &mut String, mut v: u64, width: usize) {
-    let mut buf = [b'0'; 20];
+/// Appends `v` in decimal, two digits at a time, without a formatter
+/// round trip.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0; 20];
     let mut i = buf.len();
-    while v > 0 {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        v /= 100;
     }
-    let start = i.min(buf.len() - width);
-    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
+    if v > 0 || i == buf.len() {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
 /// Merges per-shard record streams into one deterministic total order.
