@@ -833,6 +833,22 @@ mod tests {
         s
     }
 
+    /// A one-shard trace leaves the world as the recorder's own buffer.
+    #[test]
+    fn draining_a_one_shard_trace_copies_no_record() {
+        let opts = RunOptions {
+            trace: true,
+            ..RunOptions::default()
+        };
+        let mut lw = World::build(&two_node(ModelKind::DualRadio, 100), &opts);
+        lw.run_to(SimTime::from_secs(100));
+        let rec = lw.shards[0].0.rec.as_ref().expect("recorder attached");
+        let (ptr, len) = (rec.as_ptr(), rec.len());
+        let drained = lw.drain_trace();
+        assert!(len > 0, "the run records events");
+        assert_eq!((drained.as_ptr(), drained.len()), (ptr, len));
+    }
+
     #[test]
     fn sensor_model_delivers() {
         let stats = two_node(ModelKind::Sensor, 10).run();
