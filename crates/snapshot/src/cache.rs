@@ -53,15 +53,18 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
         0x5be0cd19,
     ];
     // Padded message: data ‖ 0x80 ‖ zeros ‖ 64-bit big-endian bit length.
+    // Whole blocks are read from `data` in place; only its last partial
+    // block is copied, into the one or two padded blocks that end it.
     let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+    let blocks = data.chunks_exact(64);
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let tail_len = if rest.len() < 56 { 64 } else { 128 };
+    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
     let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
+    for block in blocks.chain(tail[..tail_len].chunks_exact(64)) {
         for (i, word) in w.iter_mut().take(16).enumerate() {
             *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
         }
