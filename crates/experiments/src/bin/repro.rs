@@ -64,7 +64,7 @@ use bcp_experiments::{all, find, Output, Quality, RunCtx};
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::{TraceCat, TraceRecord};
 use bcp_simnet::{
-    parse_spec, ExploreLimits, LiveWorld, RunOptions, SeriesSample, World, WorldState,
+    parse_spec, ExploreLimits, LiveWorld, RunOptions, Scenario, SeriesSample, World, WorldState,
 };
 use std::collections::HashSet;
 use std::io::{BufWriter, Write};
@@ -430,7 +430,7 @@ fn run_scenario_file(path: &Path, cli: &Cli) -> ExitCode {
 
 /// Runs a parsed scenario, writing its trace and series as it goes and,
 /// with `--checkpoint-every`, a checkpoint per grid pause.
-fn execute_run(scenario: &bcp_simnet::Scenario, cli: &Cli, stem: &str) -> Result<(), String> {
+fn execute_run(scenario: &Scenario, cli: &Cli, stem: &str) -> Result<(), String> {
     let grid = match (cli.checkpoint_every, &cli.ckpt_dir) {
         (Some(every), Some(dir)) => {
             // Probe writability before building the world: a read-only

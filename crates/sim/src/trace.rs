@@ -574,6 +574,7 @@ fn push_u64(out: &mut String, mut v: u64) {
         buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
         v /= 100;
     }
+    // A leading odd digit, or the lone 0.
     if v > 0 || i == buf.len() {
         i -= 1;
         buf[i] = b'0' + v as u8;
