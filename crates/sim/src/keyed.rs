@@ -40,12 +40,17 @@
 //! ring laps). A bitmap of occupied buckets makes "next non-empty bucket"
 //! a couple of word scans.
 //!
-//! Cancellation is generation-stamped: every entry carries a slot index
-//! into a generation table, and [`CancelId`] packs `(slot, generation)`.
-//! Cancelling bumps the generation, which logically kills the entry
-//! wherever it physically sits — O(1), no per-event hash set, and reads
-//! (`peek_key`, `is_empty`) take `&self` because there are no tombstones
-//! to drain.
+//! Each pending event is stored once, in a slot table; the wheel, `due`,
+//! `young` and `overflow` hold only 48-byte `Copy` entries that name a
+//! slot, so filing, sorting and popping never move an event. An event
+//! moves twice: into its slot when scheduled, out of it when popped.
+//!
+//! Cancellation is generation-stamped: every entry carries its slot index
+//! and the generation the slot had when the entry was filed, and
+//! [`CancelId`] packs `(slot, generation)`. Cancelling drops the event and
+//! bumps the generation, which logically kills the entry wherever it
+//! physically sits — O(1), no per-event hash set, and reads (`peek_key`,
+//! `is_empty`) take `&self` because there are no tombstones to drain.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -122,30 +127,31 @@ const OCC_WORDS: usize = BUCKETS / 64;
 /// Most emptied bucket vectors kept for reuse.
 const SPARE_CAP: usize = 64;
 
-#[derive(Debug)]
-struct Entry<E> {
+/// One scheduled event's place in the order; the event waits in its
+/// slot of [`ShardQueue`]'s slot table.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
     key: EvKey,
     seq: u64,
     slot: u32,
     gen: u32,
-    ev: E,
 }
 
 // Min-heap by (key, seq): seq is a last-resort stable tie-break so the
 // queue stays totally ordered even if a model violates the ord-uniqueness
 // contract for commuting events.
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         (other.key, other.seq).cmp(&(self.key, self.seq))
     }
@@ -166,22 +172,22 @@ impl<E> Ord for Entry<E> {
 pub struct ShardQueue<E> {
     /// The current bucket, sorted descending by `(key, seq)`; min pops
     /// from the back.
-    due: Vec<Entry<E>>,
+    due: Vec<Entry>,
     /// Entries at or before the current bucket inserted after `due` was
     /// sorted (same-instant children, mostly). Min-heap via `Entry`'s Ord.
-    young: BinaryHeap<Entry<E>>,
+    young: BinaryHeap<Entry>,
     /// The wheel: bucket for absolute index `a` lives at `a % BUCKETS`,
     /// holding entries with `cur_abs < a < cur_abs + BUCKETS`. Unsorted.
-    wheel: Vec<Vec<Entry<E>>>,
+    wheel: Vec<Vec<Entry>>,
     /// Bitmap of physically non-empty wheel buckets.
     occ: [u64; OCC_WORDS],
     /// Physical entry count across all wheel buckets (dead included).
     wheel_count: usize,
     /// Emptied bucket vectors with their capacity, handed to buckets as
     /// they fill so a wheel lap does not re-grow vectors from zero.
-    spare: Vec<Vec<Entry<E>>>,
+    spare: Vec<Vec<Entry>>,
     /// Entries at or past the wheel horizon, unsorted.
-    overflow: Vec<Entry<E>>,
+    overflow: Vec<Entry>,
     /// Lower bound on the absolute bucket of any overflow entry
     /// (`u64::MAX` when empty). May be stale-low if its holder was
     /// cancelled — re-anchoring at a dead minimum is harmless.
@@ -191,6 +197,9 @@ pub struct ShardQueue<E> {
     /// Generation per slot; an entry is live iff its stamped generation
     /// matches its slot's current one.
     gens: Vec<u32>,
+    /// The event per slot: `Some` exactly while the slot's current
+    /// generation is scheduled and has not fired or been cancelled.
+    events: Vec<Option<E>>,
     /// Free slot indices available for reuse.
     free_slots: Vec<u32>,
     /// Live (scheduled, not fired, not cancelled) entries.
@@ -226,6 +235,7 @@ impl<E> ShardQueue<E> {
             overflow_min: u64::MAX,
             cur_abs: 0,
             gens: Vec::new(),
+            events: Vec::new(),
             free_slots: Vec::new(),
             live: 0,
             next_seq: 0,
@@ -262,7 +272,7 @@ impl<E> ShardQueue<E> {
         self.live
     }
 
-    fn is_dead(&self, e: &Entry<E>) -> bool {
+    fn is_dead(&self, e: &Entry) -> bool {
         self.gens[e.slot as usize] != e.gen
     }
 
@@ -271,31 +281,36 @@ impl<E> ShardQueue<E> {
             Some(s) => (s, self.gens[s as usize]),
             None => {
                 self.gens.push(0);
+                self.events.push(None);
                 ((self.gens.len() - 1) as u32, 0)
             }
         }
     }
 
-    /// Retires a slot after its entry fired or was cancelled: bumping the
-    /// generation kills any stale physical copy, and the slot can be
-    /// reissued immediately.
-    fn retire_slot(&mut self, slot: u32) {
+    /// Retires a live slot after its entry fired or was cancelled and
+    /// hands back its event: bumping the generation kills any stale
+    /// physical copy, and the slot can be reissued immediately.
+    fn retire_slot(&mut self, slot: u32) -> E {
         let g = &mut self.gens[slot as usize];
         *g = g.wrapping_add(1);
         self.free_slots.push(slot);
+        self.live -= 1;
+        self.events[slot as usize]
+            .take()
+            .expect("a live slot holds its event")
     }
 
     fn push(&mut self, key: EvKey, ev: E) -> CancelId {
         let seq = self.next_seq;
         self.next_seq += 1;
         let (slot, gen) = self.alloc_slot();
+        self.events[slot as usize] = Some(ev);
         self.live += 1;
         let entry = Entry {
             key,
             seq,
             slot,
             gen,
-            ev,
         };
         let abs = abs_bucket(key.time);
         if abs <= self.cur_abs {
@@ -314,7 +329,7 @@ impl<E> ShardQueue<E> {
 
     /// Files `entry` in the wheel bucket for absolute index `abs` (inside
     /// the horizon), reusing a spare vector when the bucket has none.
-    fn wheel_push(&mut self, abs: u64, entry: Entry<E>) {
+    fn wheel_push(&mut self, abs: u64, entry: Entry) {
         let p = (abs % BUCKETS as u64) as usize;
         if self.wheel[p].capacity() == 0 {
             if let Some(v) = self.spare.pop() {
@@ -327,7 +342,7 @@ impl<E> ShardQueue<E> {
     }
 
     /// Keeps an emptied vector's capacity for the next bucket to fill.
-    fn recycle(&mut self, v: Vec<Entry<E>>) {
+    fn recycle(&mut self, v: Vec<Entry>) {
         debug_assert!(v.is_empty());
         if v.capacity() > 0 && self.spare.len() < SPARE_CAP {
             self.spare.push(v);
@@ -390,8 +405,8 @@ impl<E> ShardQueue<E> {
         if self.gens.get(slot).copied() != Some(id.gen()) {
             return false;
         }
-        self.retire_slot(id.slot());
-        self.live -= 1;
+        // The event goes now; its entry stays wherever it sits, dead.
+        drop(self.retire_slot(id.slot()));
         // The cancelled entry may be the exposed due/young minimum.
         self.normalize();
         true
@@ -587,15 +602,20 @@ impl<E> ShardQueue<E> {
         } else {
             self.due.pop().expect("peeked due entry pops")
         };
-        self.retire_slot(e.slot);
-        self.live -= 1;
+        Some(self.fire(e))
+    }
+
+    /// Fires a live entry just taken off `due` or `young`: hands back its
+    /// event and advances the clock and causal depth to it.
+    fn fire(&mut self, e: Entry) -> (EvKey, E) {
+        let ev = self.retire_slot(e.slot);
         debug_assert!(e.key.time >= self.now, "event time regressed");
         self.now = e.key.time;
         self.depth = e.key.depth;
         self.cur_ord = e.key.ord;
         self.processed += 1;
         self.normalize();
-        Some((e.key, e.ev))
+        (e.key, ev)
     }
 
     /// Pops the earliest live event unconditionally.
@@ -617,27 +637,23 @@ impl<E> ShardQueue<E> {
     ///
     /// [`schedule_with_key`]: ShardQueue::schedule_with_key
     pub fn live_entries(&self) -> Vec<(EvKey, &E)> {
-        let mut all: Vec<(EvKey, u64, &E)> = Vec::with_capacity(self.live);
-        for e in self.due.iter().chain(self.young.iter()) {
-            if !self.is_dead(e) {
-                all.push((e.key, e.seq, &e.ev));
-            }
-        }
-        for bucket in &self.wheel {
-            for e in bucket {
-                if !self.is_dead(e) {
-                    all.push((e.key, e.seq, &e.ev));
-                }
-            }
-        }
-        for e in &self.overflow {
-            if !self.is_dead(e) {
-                all.push((e.key, e.seq, &e.ev));
-            }
-        }
+        let mut all: Vec<Entry> = Vec::with_capacity(self.live);
+        all.extend(
+            self.due
+                .iter()
+                .chain(self.young.iter())
+                .chain(self.wheel.iter().flatten())
+                .chain(self.overflow.iter())
+                .filter(|e| !self.is_dead(e)),
+        );
         debug_assert_eq!(all.len(), self.live, "live count matches physical scan");
-        all.sort_unstable_by_key(|&(k, s, _)| (k, s));
-        all.into_iter().map(|(k, _, e)| (k, e)).collect()
+        all.sort_unstable_by_key(|e| (e.key, e.seq));
+        all.into_iter()
+            .map(|e| {
+                let ev = self.events[e.slot as usize].as_ref();
+                (e.key, ev.expect("a live slot holds its event"))
+            })
+            .collect()
     }
 
     /// Schedules an event under an explicit pre-computed key — the restore
@@ -732,7 +748,7 @@ impl<E> ShardQueue<E> {
         {
             self.due.remove(p)
         } else {
-            let mut drained: Vec<Entry<E>> = std::mem::take(&mut self.young).into_vec();
+            let mut drained: Vec<Entry> = std::mem::take(&mut self.young).into_vec();
             let p = drained
                 .iter()
                 .position(|e| e.key == key && e.seq == seq)
@@ -741,24 +757,24 @@ impl<E> ShardQueue<E> {
             self.young = drained.into();
             e
         };
-        self.retire_slot(e.slot);
-        self.live -= 1;
-        self.now = e.key.time;
-        self.depth = e.key.depth;
-        self.cur_ord = e.key.ord;
-        self.processed += 1;
-        self.normalize();
-        Some((e.key, e.ev))
+        Some(self.fire(e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     impl Keyed for u64 {
         fn ord(&self) -> u128 {
             *self as u128
+        }
+    }
+
+    impl Keyed for Rc<()> {
+        fn ord(&self) -> u128 {
+            0
         }
     }
 
@@ -937,6 +953,41 @@ mod tests {
         // Slots recycle: new events after heavy cancellation still work.
         q.schedule(SimTime::from_secs(20), 4u64);
         assert_eq!(q.pop_min().map(|(_, e)| e), Some(4));
+    }
+
+    #[test]
+    fn entries_hold_no_event() {
+        // key (32 B) + seq + slot + gen: what the wheel, the `due` sort,
+        // `young` and `overflow` move, whatever the event's size.
+        assert_eq!(std::mem::size_of::<Entry>(), 48);
+    }
+
+    #[test]
+    fn cancelled_events_are_dropped_at_once() {
+        let (near, far) = (Rc::new(()), Rc::new(()));
+        let mut q = ShardQueue::new();
+        q.schedule(SimTime::from_millis(1), Rc::clone(&near));
+        // Past the wheel horizon: the entry waits in `overflow`, which is
+        // compacted only when the wheel drains.
+        let id = q.schedule(SimTime::from_secs(10), Rc::clone(&far));
+        assert!(q.cancel(id));
+        assert_eq!(Rc::strong_count(&far), 1, "cancel drops the event");
+
+        // A popped event leaves with the caller.
+        let (_, held) = q.pop_min().expect("the 1 ms event is due");
+        assert_eq!(Rc::strong_count(&near), 2);
+        drop(held);
+        assert_eq!(Rc::strong_count(&near), 1);
+
+        // Dropping the queue drops every event still pending, wherever
+        // its entry sits: `young`, the wheel and `overflow`.
+        let now = q.now();
+        q.schedule(now, Rc::clone(&near));
+        q.schedule(SimTime::from_millis(5), Rc::clone(&near));
+        q.schedule(SimTime::from_secs(20), Rc::clone(&far));
+        assert_eq!((Rc::strong_count(&near), Rc::strong_count(&far)), (3, 2));
+        drop(q);
+        assert_eq!((Rc::strong_count(&near), Rc::strong_count(&far)), (1, 1));
     }
 
     #[test]
