@@ -17,9 +17,10 @@
 use crate::types::{
     FrameId, FrameKind, MacAction, MacAddr, MacEvent, MacFrame, MacStats, MacTimer,
 };
+use bcp_sim::hash::FastMap;
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Tunable parameters of the CSMA/CA engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,9 +230,9 @@ pub struct CsmaMac {
     // Access state to resume after an interrupting ACK transmission.
     resume_after_ack: bool,
     // Duplicate suppression: last seq seen per source.
-    last_seq: HashMap<MacAddr, u16>,
+    last_seq: FastMap<MacAddr, u16>,
     // Sequence numbers per destination.
-    next_seq: HashMap<MacAddr, u16>,
+    next_seq: FastMap<MacAddr, u16>,
     next_frame_id: u64,
     stats: MacStats,
 }
@@ -254,8 +255,8 @@ impl CsmaMac {
             backoff_started: SimTime::ZERO,
             pending_ack: None,
             resume_after_ack: false,
-            last_seq: HashMap::new(),
-            next_seq: HashMap::new(),
+            last_seq: FastMap::default(),
+            next_seq: FastMap::default(),
             next_frame_id: 0,
             stats: MacStats::default(),
         }

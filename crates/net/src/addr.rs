@@ -6,9 +6,9 @@
 //! radio addresses for the receiver"); [`AddrMap`] is that translation
 //! table.
 
+use bcp_sim::hash::FastMap;
 use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use core::fmt;
-use std::collections::HashMap;
 
 /// Platform-level identity of a node (dense, 0-based).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,8 +77,8 @@ impl fmt::Display for HighAddr {
 pub struct AddrMap {
     low: Vec<LowAddr>,
     high: Vec<HighAddr>,
-    by_low: HashMap<LowAddr, NodeId>,
-    by_high: HashMap<HighAddr, NodeId>,
+    by_low: FastMap<LowAddr, NodeId>,
+    by_high: FastMap<HighAddr, NodeId>,
 }
 
 impl AddrMap {
@@ -86,8 +86,8 @@ impl AddrMap {
     /// sequential, mimicking factory-burned identifiers (so nothing in the
     /// stack can cheat by arithmetic on addresses).
     pub fn for_nodes(n: usize) -> Self {
-        let mut by_low = HashMap::new();
-        let mut by_high = HashMap::new();
+        let mut by_low = FastMap::default();
+        let mut by_high = FastMap::default();
         let mut low = Vec::with_capacity(n);
         let mut high = Vec::with_capacity(n);
         for i in 0..n {

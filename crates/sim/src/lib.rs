@@ -13,7 +13,9 @@
 //!   key, and its ties then fall to insertion order,
 //! * randomness comes from an in-crate xoshiro256★★ ([`rng::Rng`]) whose
 //!   stream is bit-stable across platforms and releases,
-//! * time is integer nanoseconds ([`time::SimTime`]), so no float drift.
+//! * time is integer nanoseconds ([`time::SimTime`]), so no float drift,
+//! * maps keyed by ids the simulator makes hash with a fixed hasher
+//!   ([`hash::FastMap`]), so their layout repeats from run to run.
 //!
 //! For multi-core single-run scaling, [`conservative`] executes a
 //! partitioned model under conservative-lookahead windows with results
@@ -51,6 +53,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod conservative;
+pub mod hash;
 pub mod json;
 pub mod keyed;
 pub mod persist;

@@ -24,7 +24,7 @@ use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// Why a payload could not be loaded.
@@ -522,7 +522,12 @@ seq!(Vec.push, VecDeque.push_back);
 
 /// Saved sorted by key, so equal maps save equal bytes whatever their
 /// hash order.
-impl<K: Persist + Default + Ord + Hash, V: Persist + Default> Persist for HashMap<K, V> {
+impl<K, V, S> Persist for HashMap<K, V, S>
+where
+    K: Persist + Default + Ord + Hash,
+    V: Persist + Default,
+    S: BuildHasher,
+{
     fn save(&self, e: &mut Enc) {
         let mut sorted: Vec<(&K, &V)> = self.iter().collect();
         sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));

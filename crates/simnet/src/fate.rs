@@ -25,8 +25,8 @@
 //! every shard count and fold order.
 
 use bcp_core::msg::AppPacket;
+use bcp_sim::hash::FastMap;
 use bcp_sim::keyed::EvKey;
-use std::collections::HashMap;
 
 /// How a copy was lost. Deliveries are bits in the flow bitmaps, and a
 /// copy nobody observed is still buffered or in flight.
@@ -83,9 +83,9 @@ fn bit_of(seq: u64) -> (usize, u64) {
 pub(crate) struct FateBook {
     /// Delivered-sequence bitmaps of the flows whose copies arrived at
     /// this shard; the last word of each is non-zero.
-    delivered: HashMap<FlowKey, Vec<u64>>,
+    delivered: FastMap<FlowKey, Vec<u64>>,
     /// Copies lost (first observation) and not delivered on this shard.
-    lost: HashMap<FateKey, FateMark>,
+    lost: FastMap<FateKey, FateMark>,
 }
 
 impl FateBook {
@@ -161,7 +161,7 @@ pub(crate) fn delivered_flows(books: &[&FateBook]) -> Vec<(FlowKey, Vec<u64>)> {
 /// The reconciled losses: every copy lost on some shard and delivered on
 /// none, with its earliest loss, sorted by copy.
 pub(crate) fn settled_losses(books: &[&FateBook]) -> Vec<(FateKey, FateMark)> {
-    let mut lost: HashMap<FateKey, FateMark> = HashMap::new();
+    let mut lost: FastMap<FateKey, FateMark> = FastMap::default();
     for book in books {
         for (&key, &mark) in &book.lost {
             if books.iter().any(|b| b.is_delivered(key)) {
@@ -222,6 +222,7 @@ mod tests {
     use super::*;
     use bcp_sim::rng::Rng;
     use bcp_sim::time::SimTime;
+    use std::collections::HashMap;
 
     /// The reference model: the whole-run fate map the fold replaced.
     /// Every generated copy enters as `Pending`; per shard, a delivery

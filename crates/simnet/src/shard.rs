@@ -28,10 +28,10 @@ use bcp_net::addr::NodeId;
 use bcp_net::partition::Partition;
 use bcp_radio::device::{RadioState, RxOutcome};
 use bcp_sim::conservative::{Ctx, PdesShard};
+use bcp_sim::hash::FastMap;
 use bcp_sim::keyed::{CancelId, EvKey};
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::{TraceClass, TraceDrop, TraceEvent, TraceRecord, TraceRx};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The handler context every shard method receives.
@@ -74,21 +74,21 @@ pub(crate) struct ShardState {
     /// Global-indexed; `Some` exactly for nodes this shard owns.
     pub nodes: Vec<Option<NodeState>>,
     pub chans: [Channel; 2],
-    pub payloads: HashMap<u64, Payload>,
-    pub txs: HashMap<u64, ActiveTx>,
-    pub mac_timers: HashMap<(u32, usize, MacTimer), CancelId>,
-    pub ack_timers: HashMap<(u32, u64), CancelId>,
-    pub data_timers: HashMap<(u32, u64), CancelId>,
-    pub linger: HashMap<u32, CancelId>,
-    pub power_timers: HashMap<u32, CancelId>,
+    pub payloads: FastMap<u64, Payload>,
+    pub txs: FastMap<u64, ActiveTx>,
+    pub mac_timers: FastMap<(u32, usize, MacTimer), CancelId>,
+    pub ack_timers: FastMap<(u32, u64), CancelId>,
+    pub data_timers: FastMap<(u32, u64), CancelId>,
+    pub linger: FastMap<u32, CancelId>,
+    pub power_timers: FastMap<u32, CancelId>,
     /// The pending LPL `WakeSample` per duty-cycled node (the chain is
     /// self-perpetuating; tracked so a death cancels it).
-    pub lpl_timers: HashMap<u32, CancelId>,
+    pub lpl_timers: FastMap<u32, CancelId>,
     /// Low-radio transmissions currently audible at each owned node,
     /// with the instant their *frame body* starts (after the sender's
     /// wake-up preamble). A receiver waking mid-preamble uses this to
     /// lock onto the frame; only populated under an LPL schedule.
-    pub lpl_audible: HashMap<u32, Vec<(TxId, SimTime)>>,
+    pub lpl_audible: FastMap<u32, Vec<(TxId, SimTime)>>,
     /// Fate state of the copies that can still change an outcome.
     pub fates: FateBook,
     /// Each sender's flow destination (indexed by node id; the sink for

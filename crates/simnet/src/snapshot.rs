@@ -66,13 +66,13 @@ use bcp_net::routing::{Dissemination, RouteWeight, Routes};
 use bcp_power::{BatteryModel, PowerConfig, PowerSupply};
 use bcp_radio::device::RadioState;
 use bcp_sim::conservative::{EngineCounters, SingleStepper};
+use bcp_sim::hash::FastMap;
 use bcp_sim::keyed::{EvKey, Keyed, ShardQueue};
 use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::TraceRecord;
 use bcp_traffic::TrafficPattern;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 pub use crate::channel::ChannelSlot;
@@ -990,7 +990,7 @@ pub fn explore(state: &WorldState, end: SimTime, limits: ExploreLimits) -> Explo
         } = lw;
         let (shard, queue) = shards.into_iter().next().expect("single shard");
         let mut stepper = SingleStepper::new(shard, queue, gqueue);
-        let mut prev_delivered: HashMap<(NodeId, NodeId), u64> = HashMap::new();
+        let mut prev_delivered: FastMap<(NodeId, NodeId), u64> = FastMap::default();
         stepper.with_shard(|s| {
             for (&flow, f) in &s.metrics.flows {
                 prev_delivered.insert(flow, f.delivered_packets);
@@ -1045,7 +1045,7 @@ fn push_violation(violations: &mut Vec<String>, msg: String) {
 fn check_invariants(
     s: &mut ShardState,
     t: SimTime,
-    prev_delivered: &mut HashMap<(NodeId, NodeId), u64>,
+    prev_delivered: &mut FastMap<(NodeId, NodeId), u64>,
     violations: &mut Vec<String>,
 ) {
     let n = s.scen.topo.len();

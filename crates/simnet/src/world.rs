@@ -30,12 +30,12 @@ use bcp_net::propagation::{dbm_to_mw, PathLoss, PhysModel, ShadowMap, SHADOW_CLA
 use bcp_power::BatteryModel;
 use bcp_radio::units::Energy;
 use bcp_sim::conservative::{run_conservative, EngineCounters};
+use bcp_sim::hash::FastMap;
 use bcp_sim::keyed::ShardQueue;
 use bcp_sim::rng::Rng;
 use bcp_sim::threads::worker_count;
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::{merge_traces, TraceRecord};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Observability switches for a run. Everything here is strictly
@@ -518,15 +518,15 @@ impl Scaffold {
                 Channel::new(n, &self.scen.loss_low, seeds_low),
                 Channel::new(n, &self.scen.loss_high, seeds_high),
             ],
-            payloads: HashMap::new(),
-            txs: HashMap::new(),
-            mac_timers: HashMap::new(),
-            ack_timers: HashMap::new(),
-            data_timers: HashMap::new(),
-            linger: HashMap::new(),
-            power_timers: HashMap::new(),
-            lpl_timers: HashMap::new(),
-            lpl_audible: HashMap::new(),
+            payloads: FastMap::default(),
+            txs: FastMap::default(),
+            mac_timers: FastMap::default(),
+            ack_timers: FastMap::default(),
+            data_timers: FastMap::default(),
+            linger: FastMap::default(),
+            power_timers: FastMap::default(),
+            lpl_timers: FastMap::default(),
+            lpl_audible: FastMap::default(),
             fates: FateBook::default(),
             flow_dest: Arc::clone(&self.flow_dest),
             metrics: Metrics::default(),

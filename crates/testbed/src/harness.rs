@@ -15,11 +15,11 @@ use bcp_core::receiver::{BcpReceiver, ReceiverAction};
 use bcp_core::sender::{BcpSender, SenderAction};
 use bcp_net::addr::NodeId;
 use bcp_radio::profile::{cc2420, lucent_11m, RadioProfile};
+use bcp_sim::hash::FastMap;
 use bcp_sim::keyed::{CancelId, EvKey, Keyed, ShardQueue};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::{TraceClass, TraceEvent, TraceRadioState, TraceRecord};
-use std::collections::HashMap;
 
 /// Which curve of Fig. 11 is being measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,8 +145,8 @@ struct Harness {
     bcp_rx: BcpReceiver,
     high: [HighState; 2],
     wake_pending: Vec<BurstId>,
-    ack_timers: HashMap<u64, CancelId>,
-    data_timers: HashMap<u64, CancelId>,
+    ack_timers: FastMap<u64, CancelId>,
+    data_timers: FastMap<u64, CancelId>,
     generated: u64,
     rng: Rng,
 }
@@ -169,8 +169,8 @@ pub fn run(cfg: &TestbedConfig, mode: TestbedMode) -> TestbedRun {
         bcp_rx: BcpReceiver::new(RECEIVER, bcp_cfg),
         high: [HighState::Off; 2],
         wake_pending: Vec::new(),
-        ack_timers: HashMap::new(),
-        data_timers: HashMap::new(),
+        ack_timers: FastMap::default(),
+        data_timers: FastMap::default(),
         generated: 0,
         rng: Rng::new(cfg.seed),
     };
