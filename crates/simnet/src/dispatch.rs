@@ -34,17 +34,18 @@ impl ShardState {
         ev: MacEvent,
         payload: Option<&Payload>,
     ) {
-        let mut actions = Vec::new();
-        {
-            let n = self.node_mut(node);
-            if !n.has_class(class) || !n.is_alive() {
-                return;
-            }
-            n.mac_mut(class).handle(ctx.now(), ev, &mut actions);
+        let n = self.node(node);
+        if !n.has_class(class) || !n.is_alive() {
+            return;
         }
-        for a in actions {
+        let mut actions = self.mac_pool.pop().unwrap_or_default();
+        self.node_mut(node)
+            .mac_mut(class)
+            .handle(ctx.now(), ev, &mut actions);
+        for a in actions.drain(..) {
             self.mac_action(ctx, node, class, a, payload);
         }
+        self.mac_pool.push(actions);
     }
 
     fn mac_action(

@@ -23,7 +23,7 @@ use crate::node::NodeState;
 use crate::routes::SharedNet;
 use crate::scenario::{HighRoute, ModelKind, Scenario};
 use bcp_core::msg::AppPacket;
-use bcp_mac::types::{FrameKind, MacAddr, MacEvent, MacFrame, MacTimer};
+use bcp_mac::types::{FrameKind, MacAction, MacAddr, MacEvent, MacFrame, MacTimer};
 use bcp_net::addr::NodeId;
 use bcp_net::partition::Partition;
 use bcp_radio::device::{RadioState, RxOutcome};
@@ -91,6 +91,10 @@ pub(crate) struct ShardState {
     pub lpl_audible: FastMap<u32, Vec<(TxId, SimTime)>>,
     /// Fate state of the copies that can still change an outcome.
     pub fates: FateBook,
+    /// Emptied MAC action buffers, reused by [`ShardState::mac_event`].
+    /// A pool, not one buffer: a delivery can forward a frame, which
+    /// feeds a MAC again before the outer event's actions are done.
+    pub mac_pool: Vec<Vec<MacAction>>,
     /// Each sender's flow destination (indexed by node id; the sink for
     /// non-senders). Broadcast sources are handled before this is read.
     pub flow_dest: Arc<Vec<NodeId>>,

@@ -528,6 +528,7 @@ impl Scaffold {
             lpl_timers: FastMap::default(),
             lpl_audible: FastMap::default(),
             fates: FateBook::default(),
+            mac_pool: Vec::new(),
             flow_dest: Arc::clone(&self.flow_dest),
             metrics: Metrics::default(),
             death_latency: self.death_latency,
