@@ -28,6 +28,12 @@ use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// Spins before a barrier waiter first yields. Kept short because a
+/// party can share its core even when its own pool fits the machine:
+/// `cargo test` and parallel sweeps run several pools at once, and a
+/// waiter that spins long then holds the core its late peer needs.
+const SPINS: u32 = 64;
+
 /// A sense-free generation barrier that spins briefly before yielding —
 /// window turnarounds are far shorter than an OS park/unpark cycle. With
 /// more parties than the host has cores a waiter would spin on the core
@@ -35,7 +41,7 @@ use std::sync::Mutex;
 #[derive(Debug)]
 pub struct SpinBarrier {
     parties: usize,
-    /// Spins before the first yield: 4,096, or 0 when oversubscribed.
+    /// Spins before the first yield: [`SPINS`], or 0 when oversubscribed.
     spins: u32,
     arrived: AtomicUsize,
     generation: AtomicUsize,
@@ -49,7 +55,7 @@ impl SpinBarrier {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         SpinBarrier {
             parties,
-            spins: if parties <= cores { 4_096 } else { 0 },
+            spins: if parties <= cores { SPINS } else { 0 },
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
@@ -1500,7 +1506,7 @@ mod tests {
     #[test]
     fn spin_barrier_spins_only_with_a_core_per_party() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(SpinBarrier::new(cores).spins, 4_096);
+        assert_eq!(SpinBarrier::new(cores).spins, SPINS);
         assert_eq!(SpinBarrier::new(cores + 1).spins, 0);
     }
 }
