@@ -16,7 +16,9 @@ use bcp::power::{Battery, PowerConfig};
 use bcp::sim::rng::Rng;
 use bcp::sim::time::{SimDuration, SimTime};
 use bcp::simnet::LiveWorld;
-use bcp::simnet::{parse_spec, HighRoute, ModelKind, RunOptions, Scenario, WorkloadKind, World};
+use bcp::simnet::{
+    parse_spec, HighRoute, ModelKind, RunOptions, Scenario, WorkloadKind, World, WorldState,
+};
 use bcp::snapshot::cache::sha256_hex;
 use bcp::snapshot::{from_bytes, to_bytes_with_meta, RunMeta};
 
@@ -107,10 +109,9 @@ fn cells() -> Vec<(&'static str, Scenario, Vec<u64>)> {
     out
 }
 
-#[test]
-fn checkpoint_bytes_match_their_digests() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/checkpoints.txt");
-    let golden = std::fs::read_to_string(path).unwrap_or_default();
+/// The run options and the run-meta trailer the pinned checkpoints are
+/// taken under: a 1 s series, and a trace filter for the trailer.
+fn pinned_setup() -> (RunOptions, RunMeta) {
     let every = SimDuration::from_secs(1);
     let opts = RunOptions {
         series_every: Some(every),
@@ -121,6 +122,14 @@ fn checkpoint_bytes_match_their_digests() {
         trace: true,
         trace_filter: vec!["pkt".into(), "radio".into()],
     };
+    (opts, meta)
+}
+
+#[test]
+fn checkpoint_bytes_match_their_digests() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/checkpoints.txt");
+    let golden = std::fs::read_to_string(path).unwrap_or_default();
+    let (opts, meta) = pinned_setup();
     let mut got = String::new();
     for (label, scen, pauses) in cells() {
         let mut lw = World::build(&scen, &opts);
@@ -141,6 +150,60 @@ fn checkpoint_bytes_match_their_digests() {
         "checkpoint bytes changed:\n{}\nfull digest list:\n{got}",
         mismatched.join("\n")
     );
+}
+
+/// Whether a restored state's route basis differs from the initial one.
+type BasisMoved = fn(&WorldState) -> bool;
+
+/// Pauses that follow a republish, so their restores rebuild routes from
+/// a basis other than the initial one: `lifetime` just after its first
+/// route refresh (30 s), `cell:shortcut_chain` just after the death of
+/// node 1 is published (its `NodeDied` runs at 89.711829980 s). Not
+/// pinned by digest; each carries a check that the basis did move.
+fn republished_pauses(label: &str) -> Option<(u64, BasisMoved)> {
+    match label {
+        "lifetime" => Some((30 * S + 1_000, |w| w.global_events >= 1)),
+        "cell:shortcut_chain" => Some((89_711_829_981, |w| w.death_seen)),
+        _ => None,
+    }
+}
+
+/// Every pinned pause, decoded from its bytes and restored, runs to the
+/// cell's next pause (the last one 10 s on, or to the horizon) and
+/// checkpoints there to the same bytes as the uninterrupted run: the
+/// restore rebuilds everything a checkpoint does not carry exactly.
+#[test]
+fn restored_pauses_continue_exactly() {
+    let (opts, meta) = pinned_setup();
+    let frame = |lw: &LiveWorld| to_bytes_with_meta(&lw.snapshot(), &meta).expect("encodes");
+    for (label, scen, mut pauses) in cells() {
+        let extra = republished_pauses(label);
+        pauses.extend(extra.map(|e| e.0));
+        pauses.sort_unstable();
+        let mut lw = World::build(&scen, &opts);
+        let end = lw.end().as_nanos();
+        let last = pauses.last().expect("every cell pauses");
+        let mut targets = pauses.clone();
+        targets.push((last + 10 * S).min(end));
+        let mut frames = Vec::new();
+        for &ns in &targets {
+            lw.run_to(SimTime::from_nanos(ns));
+            frames.push(frame(&lw));
+        }
+        for (i, pair) in targets.windows(2).enumerate() {
+            let (from, to) = (pair[0], pair[1]);
+            let state = from_bytes(&frames[i]).expect("a pinned frame decodes");
+            if let Some((at, moved)) = extra.filter(|e| e.0 == from) {
+                assert!(moved(&state), "{label} at {at} ns: no republish yet");
+            }
+            let mut resumed = LiveWorld::restore(&state, &opts);
+            resumed.run_to(SimTime::from_nanos(to));
+            assert!(
+                frame(&resumed) == frames[i + 1],
+                "{label}: restored at {from} ns and run to {to} ns, the checkpoint differs"
+            );
+        }
+    }
 }
 
 /// The frame checksum, recomputed for edited payloads.
