@@ -1,17 +1,17 @@
 //! Hop-count routing over the unit-disk graph.
 //!
 //! The paper decouples routing from the protocol: "two separate trees that
-//! go over sensor and IEEE 802.11 radios are built". [`Routes`] holds
-//! all-pairs shortest-hop next-hops for one radio's connectivity graph
-//! (BFS; ties broken by lowest node id, so routes are deterministic).
+//! go over sensor and IEEE 802.11 radios are built". [`Routes`] holds one
+//! radio's next hops as per-destination columns: each column is the BFS
+//! (or widest-path) tree rooted at its destination, with ties broken by
+//! lowest node id so routes are deterministic. A table is built for the
+//! destinations its reader names, or for all of them.
 //! [`ShortcutTable`] implements Section 3's route optimization: a sender
 //! that overhears its packet being forwarded learns the *last* forwarder as
 //! a direct next hop for future bursts.
 
 use crate::addr::NodeId;
 use crate::topo::Topology;
-use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
-use std::collections::VecDeque;
 
 /// How routes weigh candidate paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -26,7 +26,14 @@ pub enum RouteWeight {
     MaxMinResidual,
 }
 
-/// All-pairs shortest-hop routing for one radio range.
+/// Next hops over one radio range, one column per destination.
+///
+/// A column holds the first hop from every source toward its
+/// destination: 8 bytes per node. [`Routes::toward`] builds only the
+/// columns asked for; [`Routes::shortest_hop`] and its siblings build
+/// all of them. Reading a column that was not built panics, naming the
+/// table's range and the destination: a reader that should have asked
+/// for a column is a bug, never an unreachable destination.
 ///
 /// # Examples
 ///
@@ -40,17 +47,68 @@ pub enum RouteWeight {
 /// // 5 hops end to end, next hop is the adjacent node.
 /// assert_eq!(routes.hops(NodeId(5), NodeId(0)), Some(5));
 /// assert_eq!(routes.next_hop(NodeId(5), NodeId(0)), Some(NodeId(4)));
+///
+/// // Only the column toward node 0: 6 entries instead of 36.
+/// let sink = Routes::toward(&topo, 40.0, None, &[], [NodeId(0)]);
+/// assert_eq!(sink.entries(), 6);
+/// assert_eq!(sink.next_hop(NodeId(5), NodeId(0)), Some(NodeId(4)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Routes {
-    n: usize,
-    // next[dst][src] = first hop from src toward dst.
+    range_m: f64,
+    // next[dst][src] = first hop from src toward dst; an empty row is a
+    // column that was not built.
     next: Vec<Vec<Option<NodeId>>>,
-    // dist[dst][src] = hop count from src to dst.
-    dist: Vec<Vec<Option<u32>>>,
 }
 
 impl Routes {
+    /// Builds the columns toward each of `dests` over the unit-disk graph
+    /// at `range_m`, with `excluded` nodes removed (dead nodes neither
+    /// relay nor terminate routes). `residual_j` picks the weight: `None`
+    /// for shortest hop, or each node's remaining energy in joules for
+    /// max–min residual (see [`Routes::max_min_residual`]). Every other
+    /// column is left unbuilt, and so is the neighbour table when `dests`
+    /// is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a residual vector does not hold one value per node.
+    pub fn toward(
+        topo: &Topology,
+        range_m: f64,
+        residual_j: Option<&[f64]>,
+        excluded: &[NodeId],
+        dests: impl IntoIterator<Item = NodeId>,
+    ) -> Self {
+        let n = topo.len();
+        if let Some(r) = residual_j {
+            assert_eq!(r.len(), n, "one residual per node");
+        }
+        let mut dead = vec![false; n];
+        for d in excluded {
+            dead[d.index()] = true;
+        }
+        let mut next = vec![Vec::new(); n];
+        let mut neighbors = None;
+        for dst in dests {
+            if !next[dst.index()].is_empty() {
+                continue;
+            }
+            next[dst.index()] = if dead[dst.index()] {
+                // A dead destination is unreachable from everywhere.
+                vec![None; n]
+            } else {
+                let neighbors =
+                    neighbors.get_or_insert_with(|| prune(topo.neighbor_table(range_m), &dead));
+                match residual_j {
+                    None => bfs_from(neighbors, dst),
+                    Some(r) => widest_from(neighbors, r, dst),
+                }
+            };
+        }
+        Routes { range_m, next }
+    }
+
     /// Builds shortest-hop routes over the unit-disk graph at `range_m`.
     pub fn shortest_hop(topo: &Topology, range_m: f64) -> Self {
         Self::shortest_hop_excluding(topo, range_m, &[])
@@ -76,23 +134,7 @@ impl Routes {
     /// assert!(!path.contains(&NodeId(1)));
     /// ```
     pub fn shortest_hop_excluding(topo: &Topology, range_m: f64, excluded: &[NodeId]) -> Self {
-        let n = topo.len();
-        let neighbors = prune(topo.neighbor_table(range_m), excluded);
-        let mut next = Vec::with_capacity(n);
-        let mut dist = Vec::with_capacity(n);
-        for dst in topo.nodes() {
-            if excluded.contains(&dst) {
-                // A dead destination is unreachable from everywhere.
-                next.push(vec![None; n]);
-                dist.push(vec![None; n]);
-                continue;
-            }
-            let (d, parent) = bfs_from(&neighbors, dst, n);
-            // parent[src] points one hop toward dst (BFS tree rooted at dst).
-            next.push(parent);
-            dist.push(d);
-        }
-        Routes { n, next, dist }
+        Self::toward(topo, range_m, None, excluded, topo.nodes())
     }
 
     /// Max–min residual-energy routes: each node picks the path to each
@@ -112,64 +154,91 @@ impl Routes {
         residual_j: &[f64],
         excluded: &[NodeId],
     ) -> Self {
-        let n = topo.len();
-        assert_eq!(residual_j.len(), n, "one residual per node");
-        let neighbors = prune(topo.neighbor_table(range_m), excluded);
-        let mut next = Vec::with_capacity(n);
-        let mut dist = Vec::with_capacity(n);
-        for dst in topo.nodes() {
-            if excluded.contains(&dst) {
-                next.push(vec![None; n]);
-                dist.push(vec![None; n]);
-                continue;
-            }
-            let (d, parent) = widest_from(&neighbors, residual_j, dst, n);
-            next.push(parent);
-            dist.push(d);
-        }
-        Routes { n, next, dist }
+        Self::toward(topo, range_m, Some(residual_j), excluded, topo.nodes())
     }
 
     /// Number of nodes routed.
     pub fn len(&self) -> usize {
-        self.n
+        self.next.len()
     }
 
     /// `true` when no nodes are routed.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.next.is_empty()
+    }
+
+    /// Next-hop entries held: one per node for each built column.
+    pub fn entries(&self) -> usize {
+        self.next.iter().map(Vec::len).sum()
+    }
+
+    /// The column toward `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column toward `dst` was not built.
+    fn column(&self, dst: NodeId) -> &[Option<NodeId>] {
+        let col = &self.next[dst.index()];
+        assert!(
+            !col.is_empty(),
+            "the {} m route table has no column toward {dst}: it was not built",
+            self.range_m
+        );
+        col
     }
 
     /// First hop from `src` toward `dst`; `None` when unreachable or when
     /// `src == dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column toward `dst` was not built.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
+        let col = self.column(dst);
         if src == dst {
             return None;
         }
-        self.next[dst.index()][src.index()]
+        col[src.index()]
     }
 
     /// Hop count from `src` to `dst`; `Some(0)` when equal, `None` when
     /// unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column toward `dst` was not built.
     pub fn hops(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        self.dist[dst.index()][src.index()]
+        Some(self.path(src, dst)?.len() as u32 - 1)
     }
 
     /// `true` when every node can reach every other node.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every column was built.
     pub fn is_connected(&self) -> bool {
-        self.dist.iter().all(|row| row.iter().all(|d| d.is_some()))
+        (0..self.len() as u32).map(NodeId).all(|dst| {
+            let col = self.column(dst);
+            col.iter()
+                .enumerate()
+                .all(|(src, hop)| src == dst.index() || hop.is_some())
+        })
     }
 
     /// The full path from `src` to `dst`, inclusive of both; `None` when
     /// unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column toward `dst` was not built.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.hops(src, dst)?;
+        let col = self.column(dst);
         let mut path = vec![src];
         let mut cur = src;
         while cur != dst {
-            cur = self.next_hop(cur, dst)?;
+            cur = col[cur.index()]?;
             path.push(cur);
-            if path.len() > self.n {
+            if path.len() > col.len() {
                 unreachable!("routing loop from {src} to {dst}");
             }
         }
@@ -184,16 +253,16 @@ impl Routes {
     }
 }
 
-/// Removes `excluded` nodes from a neighbour table (both directions).
-fn prune(mut neighbors: Vec<Vec<NodeId>>, excluded: &[NodeId]) -> Vec<Vec<NodeId>> {
-    if excluded.is_empty() {
+/// Removes `dead` nodes from a neighbour table (both directions).
+fn prune(mut neighbors: Vec<Vec<NodeId>>, dead: &[bool]) -> Vec<Vec<NodeId>> {
+    if !dead.contains(&true) {
         return neighbors;
     }
     for (i, list) in neighbors.iter_mut().enumerate() {
-        if excluded.contains(&NodeId(i as u32)) {
+        if dead[i] {
             list.clear();
         } else {
-            list.retain(|v| !excluded.contains(v));
+            list.retain(|v| !dead[v.index()]);
         }
     }
     neighbors
@@ -204,13 +273,9 @@ fn prune(mut neighbors: Vec<Vec<NodeId>>, excluded: &[NodeId]) -> Vec<Vec<NodeId
 /// (endpoints excluded), tie-broken by hop count then lowest parent id.
 /// Runs the O(n²) Dijkstra variant — fine at sensor-network sizes and
 /// allocation-free beyond the label arrays.
-fn widest_from(
-    neighbors: &[Vec<NodeId>],
-    residual_j: &[f64],
-    root: NodeId,
-    n: usize,
-) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
+fn widest_from(neighbors: &[Vec<NodeId>], residual_j: &[f64], root: NodeId) -> Vec<Option<NodeId>> {
     const UNSET: f64 = f64::NEG_INFINITY;
+    let n = neighbors.len();
     let mut width = vec![UNSET; n];
     let mut hops: Vec<u32> = vec![u32::MAX; n];
     let mut toward: Vec<Option<NodeId>> = vec![None; n];
@@ -260,36 +325,28 @@ fn widest_from(
             }
         }
     }
-    let dist = hops
-        .into_iter()
-        .map(|h| if h == u32::MAX { None } else { Some(h) })
-        .collect();
-    (dist, toward)
+    toward
 }
 
-fn bfs_from(
-    neighbors: &[Vec<NodeId>],
-    root: NodeId,
-    n: usize,
-) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut toward: Vec<Option<NodeId>> = vec![None; n];
-    dist[root.index()] = Some(0);
-    let mut queue = VecDeque::new();
-    queue.push_back(root);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()].expect("queued nodes have distances");
+/// Breadth-first tree rooted at `root`: each node's first hop toward it.
+fn bfs_from(neighbors: &[Vec<NodeId>], root: NodeId) -> Vec<Option<NodeId>> {
+    let mut toward: Vec<Option<NodeId>> = vec![None; neighbors.len()];
+    // A FIFO queue: every node enters at most once, so a Vec and a read
+    // cursor suffice.
+    let mut queue = vec![root];
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
         // Neighbour lists are ascending, so parents tie-break to lowest id.
         for &v in &neighbors[u.index()] {
-            if dist[v.index()].is_none() {
-                dist[v.index()] = Some(du + 1);
+            if v != root && toward[v.index()].is_none() {
                 // From v, going toward root means going through u.
                 toward[v.index()] = Some(u);
-                queue.push_back(v);
+                queue.push(v);
             }
         }
     }
-    (dist, toward)
+    toward
 }
 
 /// A source-rooted dissemination tree: the reverse of the shortest-hop
@@ -326,6 +383,10 @@ impl Dissemination {
     /// Builds the tree rooted at `root` by reversing `routes`' next hops
     /// toward it. Nodes `routes` cannot reach (disconnected or excluded
     /// as dead) are simply absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `routes` has no column toward `root`.
     pub fn from_routes(routes: &Routes, root: NodeId) -> Self {
         let n = routes.len();
         let mut children = vec![Vec::new(); n];
@@ -444,63 +505,6 @@ impl ShortcutTable {
 }
 
 bcp_sim::persist!(struct ShortcutTable { entries });
-
-/// Per-node tables: one row per node of the world being loaded (see
-/// [`Dec::check_table`]), each `n` wide when `square`.
-fn check_rows<T>(
-    d: &Dec<'_>,
-    rows: &[Vec<T>],
-    square: bool,
-    what: &str,
-) -> Result<(), DecodeError> {
-    d.check_table(rows.len(), what)?;
-    if square && rows.iter().any(|r| r.len() != rows.len()) {
-        return Err(DecodeError::new(format!("{what} is not square")));
-    }
-    Ok(())
-}
-
-/// `next` with its row count, then the `dist` rows (as many).
-impl Persist for Routes {
-    fn save(&self, e: &mut Enc) {
-        self.next.save(e);
-        for row in &self.dist {
-            row.save(e);
-        }
-    }
-    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        self.next.load(d)?;
-        check_rows(d, &self.next, true, "a next-hop table")?;
-        self.n = self.next.len();
-        self.dist = vec![Vec::new(); self.n];
-        for row in &mut self.dist {
-            row.load(d)?;
-        }
-        check_rows(d, &self.dist, true, "a hop-count table")
-    }
-}
-
-/// The root, the child lists with their row count, then one reached flag
-/// per node.
-impl Persist for Dissemination {
-    fn save(&self, e: &mut Enc) {
-        self.root.save(e);
-        self.children.save(e);
-        for r in &self.reached {
-            r.save(e);
-        }
-    }
-    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        self.root.load(d)?;
-        self.children.load(d)?;
-        check_rows(d, &self.children, false, "a dissemination tree")?;
-        self.reached = vec![false; self.children.len()];
-        for r in &mut self.reached {
-            r.load(d)?;
-        }
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -676,6 +680,53 @@ mod tests {
         let r = Routes::max_min_residual(&topo, 40.0, &residual, &[NodeId(1)]);
         assert_eq!(r.hops(NodeId(3), NodeId(0)), None, "line severed at 1");
         assert_eq!(r.hops(NodeId(3), NodeId(2)), Some(1));
+    }
+
+    #[test]
+    fn columns_for_a_subset_equal_the_full_build() {
+        use bcp_sim::rng::Rng;
+        let mut rng = Rng::new(22);
+        for field in 0..6 {
+            let topo = Topology::random_uniform(40, 200.0, 200.0, &mut rng);
+            let n = topo.len();
+            let residual: Vec<f64> = (0..n).map(|_| rng.range_f64(0.5, 10.0)).collect();
+            let dests: Vec<NodeId> = (0..5).map(|_| NodeId(rng.index(n) as u32)).collect();
+            for excluded in [vec![], vec![dests[0], NodeId(rng.index(n) as u32)]] {
+                for weight in [None, Some(&residual[..])] {
+                    let full = Routes::toward(&topo, 60.0, weight, &excluded, topo.nodes());
+                    let part = Routes::toward(&topo, 60.0, weight, &excluded, dests.clone());
+                    let mut distinct = dests.clone();
+                    distinct.sort();
+                    distinct.dedup();
+                    assert_eq!(part.entries(), distinct.len() * n);
+                    for &dst in &dests {
+                        for src in topo.nodes() {
+                            assert_eq!(
+                                part.next_hop(src, dst),
+                                full.next_hop(src, dst),
+                                "field {field}, {src}->{dst}, residual {}, dead {excluded:?}",
+                                weight.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // The all-destinations constructors are the full case.
+        let topo = Topology::grid(4, 40.0);
+        assert_eq!(
+            Routes::shortest_hop(&topo, 40.0),
+            Routes::toward(&topo, 40.0, None, &[], topo.nodes())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the 40 m route table has no column toward n3")]
+    fn reading_an_unbuilt_column_panics() {
+        let topo = Topology::line(4, 40.0);
+        let r = Routes::toward(&topo, 40.0, None, &[], [NodeId(0)]);
+        assert_eq!(r.next_hop(NodeId(3), NodeId(0)), Some(NodeId(2)));
+        let _ = r.next_hop(NodeId(0), NodeId(3));
     }
 
     #[test]

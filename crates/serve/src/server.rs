@@ -860,15 +860,25 @@ mod tests {
             lw.run_to(bcp_sim::time::SimTime::from_secs(10));
             lw.snapshot()
         };
-        let plant = |state: &bcp_simnet::WorldState| {
-            let bytes = bcp_snapshot::to_bytes(state).expect("encodes");
+        let frame =
+            |state: &bcp_simnet::WorldState| bcp_snapshot::to_bytes(state).expect("encodes");
+        let plant_bytes = |bytes: Vec<u8>| {
             std::fs::write(shared.store.ckpt_path(&key), bytes).unwrap();
         };
+        let plant = |state: &bcp_simnet::WorldState| plant_bytes(frame(state));
 
         let (cold, resumed) = run();
         assert!(!resumed, "no checkpoint yet");
         plant(&paused(&key.scn));
         assert_eq!(run(), (cold.clone(), true), "its own checkpoint resumes");
+        let mut v4 = frame(&paused(&key.scn));
+        v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+        plant_bytes(v4);
+        assert_eq!(
+            run(),
+            (cold.clone(), false),
+            "its own, framed as v4, starts cold"
+        );
         plant(&paused(&spec(2).scn));
         assert_eq!(run(), (cold.clone(), false), "another seed's starts cold");
         let mut unfit = paused(&key.scn);

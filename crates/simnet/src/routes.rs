@@ -13,7 +13,7 @@
 use crate::events::GlobalEv;
 use crate::metrics::{Metrics, SeriesSample};
 use crate::node::NodeState;
-use crate::scenario::{ModelKind, Scenario};
+use crate::scenario::{HighRoute, ModelKind, Scenario};
 use crate::shard::ShardState;
 use bcp_net::addr::NodeId;
 use bcp_net::routing::{Dissemination, RouteWeight, Routes};
@@ -30,15 +30,21 @@ use std::sync::Arc;
 /// The coordinator-published snapshot of whole-world state.
 #[derive(Debug)]
 pub(crate) struct SharedNet {
-    /// Low-radio routes.
+    /// Low-radio routes, holding the columns [`route_columns`] names.
     pub low_routes: Routes,
-    /// High-radio routes.
+    /// High-radio routes, holding the columns [`route_columns`] names.
     pub high_routes: Routes,
-    /// Per-node liveness as of the last global event.
+    /// Per-node liveness as of the last global event. The dead set the
+    /// routes exclude is exactly the nodes marked dead here.
     pub alive: Vec<bool>,
     /// `true` once a death has been announced: ends the "all nodes alive"
     /// prefix that the before-first-death metrics measure.
     pub death_seen: bool,
+    /// The residual energies (joules, `INFINITY` for mains) the routes
+    /// were weighed by. Present exactly under
+    /// [`RouteWeight::MaxMinResidual`]: with the topology and the dead
+    /// set, it is the whole basis the routes are a pure function of.
+    pub route_residual: Option<Vec<f64>>,
     /// The source-rooted dissemination tree broadcast traffic relays
     /// down: the reverse of the data routes toward the source. Present
     /// exactly under [`TrafficPattern::Broadcast`], and rebuilt with the
@@ -59,63 +65,68 @@ impl SharedNet {
     }
 }
 
-/// Per-node residual energy for route weighting: a node's remaining
-/// charge in joules, or `INFINITY` for mains-powered nodes.
-pub(crate) fn initial_residuals(scen: &Scenario) -> Vec<f64> {
-    scen.topo
-        .nodes()
-        .map(|id| {
-            scen.power
-                .battery_for(id.index(), id == scen.sink)
-                .map(|b| b.capacity().as_joules())
-                .unwrap_or(f64::INFINITY)
-        })
-        .collect()
-}
-
-pub(crate) fn compute_routes(
+/// The destinations whose columns each route table holds, as
+/// `[low, high]` — the one rule that sizes route state. A read of any
+/// other column panics (see [`Routes`]), so a reader this rule misses
+/// fails loudly instead of turning into "unroutable" losses. The
+/// readers:
+///
+/// * `forward_data` (hop by hop, sensor and 802.11) reads its class's
+///   table toward `pkt.dest`, a data destination;
+/// * `high_next_hop` (BCP's burst hop) reads the high table under
+///   `high_route = tree` and the low table under `low_parents`, toward
+///   `pkt.dest` — under broadcast that is any tree child;
+/// * `send_control` and the control relay in `dispatch.rs` read the low
+///   table toward a BCP peer, which can be any node;
+/// * `Control::check_partition` reads the data table toward the sink
+///   or the gossip destinations;
+/// * `Control::publish` reads it toward the broadcast source to build
+///   the dissemination tree.
+///
+/// The data destinations are the sink under convergecast, the gossip
+/// flows' destinations, or the broadcast source. The sensor model holds
+/// their low columns and no high table; 802.11 their high columns and no
+/// low table. Dual radio holds every low column, and every high column
+/// under `high_route = tree` or none under `low_parents`.
+pub(crate) fn route_columns(
     scen: &Scenario,
-    residual: &[f64],
-    dead: &[NodeId],
-) -> (Routes, Routes) {
-    let mk = |range_m: f64| match scen.route_weight {
-        RouteWeight::ShortestHop => Routes::shortest_hop_excluding(&scen.topo, range_m, dead),
-        RouteWeight::MaxMinResidual => {
-            Routes::max_min_residual(&scen.topo, range_m, residual, dead)
+    gossip_flows: &[(NodeId, NodeId)],
+) -> [Vec<NodeId>; 2] {
+    let data = match scen.pattern {
+        TrafficPattern::Converge => vec![scen.sink],
+        TrafficPattern::Broadcast { source } => vec![source],
+        TrafficPattern::Gossip { .. } => {
+            let mut dests: Vec<NodeId> = gossip_flows.iter().map(|f| f.1).collect();
+            dests.sort();
+            dests.dedup();
+            dests
         }
     };
-    (mk(scen.low_profile.range_m), mk(scen.high_profile.range_m))
-}
-
-/// The dissemination tree for a broadcast scenario, rooted at the source
-/// over the model's data routes; `None` for other patterns.
-pub(crate) fn compute_dissem(
-    scen: &Scenario,
-    low_routes: &Routes,
-    high_routes: &Routes,
-) -> Option<Dissemination> {
-    match scen.pattern {
-        TrafficPattern::Broadcast { source } => {
-            let routes = match scen.model {
-                ModelKind::Sensor | ModelKind::DualRadio => low_routes,
-                ModelKind::Dot11 => high_routes,
-            };
-            Some(Dissemination::from_routes(routes, source))
-        }
-        _ => None,
+    let every = || scen.topo.nodes().collect();
+    match scen.model {
+        ModelKind::Sensor => [data, Vec::new()],
+        ModelKind::Dot11 => [Vec::new(), data],
+        ModelKind::DualRadio => match scen.high_route {
+            HighRoute::Tree => [every(), every()],
+            HighRoute::LowParents { .. } => [every(), Vec::new()],
+        },
     }
 }
 
-/// Builds the snapshot a run starts with (everyone alive, full charge).
-pub(crate) fn initial_shared(scen: &Scenario) -> Arc<SharedNet> {
-    let (low_routes, high_routes) = compute_routes(scen, &initial_residuals(scen), &[]);
-    let dissem = compute_dissem(scen, &low_routes, &high_routes);
-    Arc::new(SharedNet {
-        low_routes,
-        high_routes,
-        alive: vec![true; scen.topo.len()],
-        death_seen: false,
-        dissem,
+/// The residuals the first routes are weighed by: each node's full
+/// charge in joules, or `INFINITY` for mains-powered nodes. `None` unless
+/// the scenario routes by [`RouteWeight::MaxMinResidual`].
+pub(crate) fn initial_route_residual(scen: &Scenario) -> Option<Vec<f64>> {
+    (scen.route_weight == RouteWeight::MaxMinResidual).then(|| {
+        scen.topo
+            .nodes()
+            .map(|id| {
+                scen.power
+                    .battery_for(id.index(), id == scen.sink)
+                    .map(|b| b.capacity().as_joules())
+                    .unwrap_or(f64::INFINITY)
+            })
+            .collect()
     })
 }
 
@@ -130,6 +141,9 @@ pub(crate) struct Control {
     /// whole pair draw inside the serial global-event step). Empty for
     /// other patterns.
     pub gossip_flows: Vec<(NodeId, NodeId)>,
+    /// The destinations each route table holds columns for, `[low,
+    /// high]` (see [`route_columns`]); fixed per scenario.
+    pub columns: [Vec<NodeId>; 2],
     /// Global metrics slice: node deaths, first death, partition instant.
     pub metrics: Metrics,
     /// Global events executed (part of the run's event count).
@@ -319,6 +333,63 @@ impl SeriesState {
 }
 
 impl Control {
+    /// The coordinator of `scen`, resuming from the given metrics slice
+    /// and global-event count.
+    pub fn new(
+        scen: Arc<Scenario>,
+        metrics: Metrics,
+        global_events: u64,
+        trace: Option<Vec<TraceRecord>>,
+        series: Option<SeriesState>,
+    ) -> Self {
+        let gossip_flows = match scen.pattern {
+            TrafficPattern::Gossip { .. } => scen.flows(),
+            _ => Vec::new(),
+        };
+        let columns = route_columns(&scen, &gossip_flows);
+        Control {
+            scen,
+            gossip_flows,
+            columns,
+            metrics,
+            global_events,
+            trace,
+            series,
+        }
+    }
+
+    /// The snapshot whose routes follow from the basis: the dead set
+    /// (the nodes `alive` marks dead) and, under max–min residual
+    /// routing, `route_residual`. A build, a republish and a restore all
+    /// compute routes here.
+    pub fn publish(
+        &self,
+        alive: Vec<bool>,
+        death_seen: bool,
+        route_residual: Option<Vec<f64>>,
+    ) -> Arc<SharedNet> {
+        let scen = &self.scen;
+        let dead: Vec<NodeId> = scen.topo.nodes().filter(|d| !alive[d.index()]).collect();
+        let table = |range_m: f64, dests: &[NodeId]| {
+            let residual = route_residual.as_deref();
+            Routes::toward(&scen.topo, range_m, residual, &dead, dests.iter().copied())
+        };
+        let [low, high] = &self.columns;
+        let mut snap = SharedNet {
+            low_routes: table(scen.low_profile.range_m, low),
+            high_routes: table(scen.high_profile.range_m, high),
+            alive,
+            death_seen,
+            route_residual,
+            dissem: None,
+        };
+        if let TrafficPattern::Broadcast { source } = scen.pattern {
+            let routes = snap.data_routes(scen.model);
+            snap.dissem = Some(Dissemination::from_routes(routes, source));
+        }
+        Arc::new(snap)
+    }
+
     /// Recomputes routes and liveness from the current residual energies
     /// across every shard and installs the fresh snapshot everywhere.
     fn republish(
@@ -339,20 +410,8 @@ impl Control {
                 alive[i] = node.is_alive();
             }
         });
-        let mut dead: Vec<NodeId> = (0..n as u32)
-            .map(NodeId)
-            .filter(|d| !alive[d.index()])
-            .collect();
-        dead.sort();
-        let (low_routes, high_routes) = compute_routes(&self.scen, &residual, &dead);
-        let dissem = compute_dissem(&self.scen, &low_routes, &high_routes);
-        let snap = Arc::new(SharedNet {
-            low_routes,
-            high_routes,
-            alive,
-            death_seen,
-            dissem,
-        });
+        let residual = (self.scen.route_weight == RouteWeight::MaxMinResidual).then_some(residual);
+        let snap = self.publish(alive, death_seen, residual);
         shards.for_each(|_, s| s.shared = Arc::clone(&snap));
         snap
     }
@@ -483,5 +542,58 @@ impl PdesControl<ShardState> for Control {
         let mut scan = SeriesScan::new(&self.scen);
         shards.for_each(|_, s| scan.add_shard(s, now));
         series.record(now, scan, queue_depths.to_vec());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::parse_spec;
+    use crate::world::{RunOptions, World};
+    use bcp_sim::time::SimDuration;
+
+    /// Next-hop entries a freshly built world holds across both tables:
+    /// an exact, host-free measure of its route memory.
+    fn route_entries(scen: &Scenario) -> usize {
+        let lw = World::build(scen, &RunOptions::default());
+        let shared = &lw.shards[0].0.shared;
+        shared.low_routes.entries() + shared.high_routes.entries()
+    }
+
+    fn spec(text: &str) -> Scenario {
+        parse_spec(text).expect("checked-in spec parses")
+    }
+
+    #[test]
+    fn worlds_hold_only_the_route_columns_their_model_reads() {
+        // The 576-node sensor grid: the sink's low column, nothing else.
+        let grid = spec(include_str!("../../../examples/specs/serve_long.scn"));
+        assert_eq!(route_entries(&grid), 576);
+        // The 2,025-node grid likewise.
+        let big = spec(include_str!("../../../examples/specs/scale_2025.scn"));
+        assert_eq!(route_entries(&big), 2025);
+        // Sensor gossip: one low column per distinct flow destination.
+        let gossip = spec(include_str!("../../../examples/specs/gossip_pairs.scn"));
+        let flows = gossip.flows();
+        let mut dests: Vec<NodeId> = flows.iter().map(|f| f.1).collect();
+        dests.sort();
+        dests.dedup();
+        assert!(dests.len() > 1 && dests.len() <= flows.len());
+        assert_eq!(route_entries(&gossip), dests.len() * 36);
+        // Dual radio under `high_route = tree`: every column of both
+        // tables, since a BCP handshake can address any peer.
+        let dual = spec(include_str!("../../../examples/specs/single_hop.scn"));
+        assert_eq!(route_entries(&dual), 2 * 36 * 36);
+        // Under `low_parents` the high table goes.
+        let parents = dual.clone().with_high_route(HighRoute::LowParents {
+            shortcuts: true,
+            listen: SimDuration::from_millis(200),
+        });
+        assert_eq!(route_entries(&parents), 36 * 36);
+        // 802.11: the sink's high column, and no low table.
+        let dot11 = Scenario::single_hop(ModelKind::Dot11, 4, 1, 3);
+        assert_eq!(route_entries(&dot11), 36);
+        let lw = World::build(&dot11, &RunOptions::default());
+        assert_eq!(lw.shards[0].0.shared.low_routes.entries(), 0);
     }
 }

@@ -26,8 +26,8 @@
 //! holds *everything* the remainder of the run depends on: the canonical
 //! pending-event set (with exact tie-breaking keys), every node's MAC /
 //! radio / BCP / workload / battery registers, the per-node channel and
-//! loss-RNG state, routes and liveness as last published, the metric
-//! counters, the delivered-copy bitmaps and unsettled losses, and the
+//! loss-RNG state, liveness and the route basis as last published, the
+//! metric counters, the delivered-copy bitmaps and unsettled losses, and the
 //! series sampler's grid position. Restoring and running to the horizon
 //! produces the same [`RunStats`](crate::metrics::RunStats) — bit for
 //! bit, excluding only the wall-clock `.engine` block — as the
@@ -55,14 +55,14 @@ use crate::events::{Class, Ev, GlobalEv, Payload, TxId};
 use crate::fate::{delivered_flows, settled_losses, FateBook};
 use crate::metrics::Metrics;
 use crate::node::NodeState;
-use crate::routes::{Control, SeriesState, SharedNet};
+use crate::routes::{Control, SeriesState};
 use crate::scenario::{HighRoute, Scenario};
 use crate::shard::ShardState;
 use crate::world::{LiveWorld, RunOptions, Scaffold};
 use bcp_mac::types::{FrameKind, MacAddr};
 use bcp_net::addr::{AddrMap, HighAddr, LowAddr, NodeId};
 use bcp_net::propagation::PhysModel;
-use bcp_net::routing::{Dissemination, RouteWeight, Routes};
+use bcp_net::routing::RouteWeight;
 use bcp_power::{BatteryModel, PowerConfig, PowerSupply};
 use bcp_radio::device::RadioState;
 use bcp_sim::conservative::{EngineCounters, SingleStepper};
@@ -72,7 +72,6 @@ use bcp_sim::persist::{Dec, DecodeError, Enc, Persist};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::TraceRecord;
-use bcp_traffic::TrafficPattern;
 use std::sync::Arc;
 
 pub use crate::channel::ChannelSlot;
@@ -197,16 +196,17 @@ pub struct WorldState {
     pub collisions: u64,
     /// The merged metric counters (global slice + every shard's).
     pub metrics: Metrics,
-    /// Low-radio routes as last published.
-    pub low_routes: Routes,
-    /// High-radio routes as last published.
-    pub high_routes: Routes,
-    /// Per-node liveness as last published.
+    /// Per-node liveness as last published: the dead set the routes
+    /// exclude.
     pub alive: Vec<bool>,
     /// Whether a death has been announced.
     pub death_seen: bool,
-    /// The dissemination tree (broadcast scenarios only).
-    pub dissem: Option<Dissemination>,
+    /// The residual energies the published routes were weighed by,
+    /// present exactly under max–min residual routing. With the topology
+    /// and the dead set this is the routes' whole basis: a restore
+    /// recomputes the route columns and the dissemination tree from it
+    /// instead of carrying them.
+    pub route_residual: Option<Vec<f64>>,
     /// The series sampler's grid position, when a series was recording.
     pub series: Option<SeriesSnapshot>,
     /// Per-link shadowing offsets and the shadow RNG stream, when the
@@ -226,10 +226,10 @@ impl WorldState {
 
     /// The blank world of `scen` that a decoder loads a checkpoint's run
     /// state into: every node as [`World::build`] constructs it (with
-    /// placeholder RNG streams) and idle channel slots, plus a
-    /// dissemination tree exactly under a broadcast pattern and the
-    /// shadowing exactly under a received-power model. The routes are
-    /// empty: their tables load whole.
+    /// placeholder RNG streams) and idle channel slots, plus a route
+    /// residual vector exactly under max–min residual routing and the
+    /// shadowing exactly under a received-power model. No routes are
+    /// computed: a restore derives them from the loaded basis.
     ///
     /// [`World::build`]: crate::world::World::build
     pub fn blank(scen: Scenario) -> WorldState {
@@ -264,12 +264,10 @@ impl WorldState {
             lost: Vec::new(),
             collisions: 0,
             metrics: Metrics::default(),
-            low_routes: Routes::default(),
-            high_routes: Routes::default(),
             alive: vec![true; n],
             death_seen: false,
-            dissem: matches!(scen.pattern, TrafficPattern::Broadcast { .. })
-                .then(Dissemination::default),
+            route_residual: (scen.route_weight == RouteWeight::MaxMinResidual)
+                .then(|| vec![0.0; n]),
             series: None,
             shadow,
             scen,
@@ -304,11 +302,9 @@ impl Persist for WorldState {
         self.lost.save(e);
         self.collisions.save(e);
         self.metrics.save(e);
-        self.low_routes.save(e);
-        self.high_routes.save(e);
         self.alive.save(e);
         self.death_seen.save(e);
-        e.present(&self.dissem);
+        e.present(&self.route_residual);
         self.series.save(e);
         e.present(&self.shadow);
     }
@@ -372,10 +368,15 @@ impl Persist for WorldState {
         for id in keys.chain(flows.flat_map(|(from, to)| [from as u64, to as u64])) {
             d.check_id(id)?;
         }
-        (self.low_routes, self.high_routes) = d.read()?;
         (self.alive, self.death_seen) = d.read()?;
         d.check_table(self.alive.len(), "the liveness flags")?;
-        d.present(&mut self.dissem, "dissemination tree")?;
+        d.present(&mut self.route_residual, "route residual vector")?;
+        if let Some(residual) = &self.route_residual {
+            d.check_table(residual.len(), "the route residuals")?;
+            if residual.iter().any(|r| r.is_nan()) {
+                return Err(DecodeError::new("a route residual is NaN"));
+            }
+        }
         self.series.load(d)?;
         d.present(&mut self.shadow, "shadowing map")
     }
@@ -478,11 +479,9 @@ pub(crate) fn capture(lw: &LiveWorld) -> WorldState {
             .map(|(s, _)| s.chans[0].collisions() + s.chans[1].collisions())
             .sum(),
         metrics,
-        low_routes: shared.low_routes.clone(),
-        high_routes: shared.high_routes.clone(),
         alive: shared.alive.clone(),
         death_seen: shared.death_seen,
-        dissem: shared.dissem.clone(),
+        route_residual: shared.route_residual.clone(),
         series: lw.control.series.as_ref().map(|st| SeriesSnapshot {
             every: st.every,
             next: st.next,
@@ -543,13 +542,55 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
         scaf.end
     );
 
-    let shared = Arc::new(SharedNet {
-        low_routes: state.low_routes.clone(),
-        high_routes: state.high_routes.clone(),
-        alive: state.alive.clone(),
-        death_seen: state.death_seen,
-        dissem: state.dissem.clone(),
-    });
+    let (series_every, series) = match (opts.series_every, &state.series) {
+        (Some(_), Some(sn)) => {
+            // Continue the captured grid: same interval, same next
+            // instant, same delta baseline — and an empty sample buffer,
+            // so nothing pre-checkpoint is re-emitted.
+            let mut st = SeriesState::new(sn.every);
+            st.next = sn.next;
+            st.last = sn.last;
+            st.prev = sn.prev;
+            (Some(sn.every), Some(st))
+        }
+        (Some(every), None) => {
+            // Series switched on only at resume: start a fresh grid at
+            // the first instant past the pause (earlier instants belong
+            // to the segment that already ran).
+            let mut st = SeriesState::new(every);
+            while st.next <= t {
+                st.next += every;
+            }
+            (Some(every), Some(st))
+        }
+        (None, _) => (None, None),
+    };
+
+    // Metrics: the death slice is coordinator-owned; each flow lives at
+    // its destination's owner (where deliveries update it — a source-side
+    // update merges in at finalisation exactly as it would have); every
+    // other scalar is cumulative and goes to shard 0.
+    let ctrl_metrics = Metrics {
+        node_deaths: state.metrics.node_deaths,
+        first_death: state.metrics.first_death,
+        partition: state.metrics.partition,
+        ..Metrics::default()
+    };
+    let control = Control::new(
+        Arc::clone(&scen),
+        ctrl_metrics,
+        state.global_events,
+        opts.trace.then(Vec::<TraceRecord>::new),
+        series,
+    );
+    // The routes and the dissemination tree are not in the checkpoint:
+    // they are recomputed from its basis, as the last publish computed
+    // them.
+    let shared = control.publish(
+        state.alive.clone(),
+        state.death_seen,
+        state.route_residual.clone(),
+    );
 
     // Channel slots start from placeholder seeds; every owned slot is
     // then overwritten with the captured loss/RNG registers, and only
@@ -605,16 +646,6 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
         shards[owner].0.fates.restore_loss(*key, *mark);
     }
 
-    // Metrics: the death slice is coordinator-owned; each flow lives at
-    // its destination's owner (where deliveries update it — a source-side
-    // update merges in at finalisation exactly as it would have); every
-    // other scalar is cumulative and goes to shard 0.
-    let ctrl_metrics = Metrics {
-        node_deaths: state.metrics.node_deaths,
-        first_death: state.metrics.first_death,
-        partition: state.metrics.partition,
-        ..Metrics::default()
-    };
     let mut shard0 = state.metrics.clone();
     shard0.node_deaths = 0;
     shard0.first_death = None;
@@ -698,42 +729,6 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
     for (_, q) in &mut shards {
         q.restore_clock_state(t, 0, 0, 0);
     }
-
-    let (series_every, series) = match (opts.series_every, &state.series) {
-        (Some(_), Some(sn)) => {
-            // Continue the captured grid: same interval, same next
-            // instant, same delta baseline — and an empty sample buffer,
-            // so nothing pre-checkpoint is re-emitted.
-            let mut st = SeriesState::new(sn.every);
-            st.next = sn.next;
-            st.last = sn.last;
-            st.prev = sn.prev;
-            (Some(sn.every), Some(st))
-        }
-        (Some(every), None) => {
-            // Series switched on only at resume: start a fresh grid at
-            // the first instant past the pause (earlier instants belong
-            // to the segment that already ran).
-            let mut st = SeriesState::new(every);
-            while st.next <= t {
-                st.next += every;
-            }
-            (Some(every), Some(st))
-        }
-        (None, _) => (None, None),
-    };
-
-    let control = Control {
-        scen: Arc::clone(&scen),
-        gossip_flows: match scen.pattern {
-            TrafficPattern::Gossip { .. } => scen.flows(),
-            _ => Vec::new(),
-        },
-        metrics: ctrl_metrics,
-        global_events: state.global_events,
-        trace: opts.trace.then(Vec::<TraceRecord>::new),
-        series,
-    };
 
     LiveWorld {
         series_every,

@@ -21,7 +21,7 @@ use crate::events::{Class, Ev, GlobalEv};
 use crate::fate::{settle, FateBook};
 use crate::metrics::{EngineStats, Metrics, RunStats, SeriesSample};
 use crate::node::NodeState;
-use crate::routes::{initial_shared, Control, SeriesScan, SeriesState};
+use crate::routes::{initial_route_residual, Control, SeriesScan, SeriesState};
 use crate::scenario::{ModelKind, Scenario};
 use crate::shard::ShardState;
 use bcp_net::addr::AddrMap;
@@ -104,7 +104,14 @@ impl World {
         // identical for every shard count.
         let loss_seeds_low: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
         let loss_seeds_high: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-        let shared = initial_shared(&scen);
+        let control = Control::new(
+            Arc::clone(&scen),
+            Metrics::default(),
+            0,
+            opts.trace.then(Vec::new),
+            opts.series_every.map(SeriesState::new),
+        );
+        let shared = control.publish(vec![true; n], false, initial_route_residual(&scen));
         let t0 = SimTime::ZERO;
 
         let mut shards: Vec<(ShardState, ShardQueue<Ev>)> = (0..k)
@@ -160,17 +167,6 @@ impl World {
         if let Some(every) = scen.power.reroute_every {
             gqueue.schedule(t0 + every, GlobalEv::RouteRefresh);
         }
-        let control = Control {
-            scen: Arc::clone(&scen),
-            gossip_flows: match scen.pattern {
-                bcp_traffic::TrafficPattern::Gossip { .. } => scen.flows(),
-                _ => Vec::new(),
-            },
-            metrics: Metrics::default(),
-            global_events: 0,
-            trace: opts.trace.then(Vec::new),
-            series: opts.series_every.map(SeriesState::new),
-        };
         LiveWorld {
             series_every: opts.series_every,
             scaf,

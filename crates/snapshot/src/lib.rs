@@ -73,9 +73,9 @@ pub use bcp_simnet::snapshot::{explore, ExploreLimits, ExploreReport};
 /// The file magic.
 pub const MAGIC: [u8; 8] = *b"BCPSNAP1";
 /// The current payload format version.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 /// The oldest payload format version this reader still accepts.
-pub const MIN_VERSION: u32 = 4;
+pub const MIN_VERSION: u32 = 5;
 
 pub mod cache;
 
@@ -159,12 +159,12 @@ type Res<T> = Result<T, SnapshotError>;
 // Framing
 // ---------------------------------------------------------------------
 
-/// The frame checksum (see the crate docs for what it computes).
+/// The frame checksum: FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
+        h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
 }
@@ -438,13 +438,22 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_frames_are_explicitly_unreadable() {
+    fn the_checksum_is_fnv1a_64() {
+        // The published FNV-1a-64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn pre_v5_frames_are_explicitly_unreadable() {
         // Version 3 changed the channel-slot layout (loss-state split,
-        // audibility, shadowing) and version 4 the fate section (per-flow
-        // delivery bitmaps); older frames must be rejected with a typed
-        // version error, never best-effort decoded.
+        // audibility, shadowing), version 4 the fate section (per-flow
+        // delivery bitmaps) and version 5 the routes (their basis instead
+        // of their tables) and the checksum; older frames must be
+        // rejected with a typed version error, never best-effort decoded.
         let bytes = to_bytes(&snapshot_at(&dual_scenario(), 5)).expect("encodes");
-        for old in [1u32, 2, 3] {
+        for old in [1u32, 2, 3, 4] {
             let mut v = bytes.clone();
             v[8..12].copy_from_slice(&old.to_le_bytes());
             assert!(
@@ -521,10 +530,6 @@ mod tests {
             ),
             ("a liveness flag too many", Box::new(|w| w.alive.push(true))),
             (
-                "routes for no nodes",
-                Box::new(|w| w.low_routes = Default::default()),
-            ),
-            (
                 "shadowing on a disk world",
                 Box::new(|w| {
                     w.shadow = Some(bcp_simnet::snapshot::ShadowSnapshot {
@@ -541,10 +546,36 @@ mod tests {
                 Box::new(|w| w.delivered[0].1.push(0)),
             ),
         ];
+        // The route basis of a max–min residual capture.
+        let mut max_min = dual_scenario();
+        max_min.route_weight = bcp_net::routing::RouteWeight::MaxMinResidual;
+        max_min.power = PowerConfig::unlimited().with_node_battery(5, Battery::ideal_joules(50.0));
+        let max_min = snapshot_at(&max_min, 30);
+        let basis_cases: Vec<(&str, Edit)> = vec![
+            (
+                "a route residual short of the node count",
+                Box::new(|w| {
+                    residuals(w).pop();
+                }),
+            ),
+            (
+                "a NaN route residual",
+                Box::new(|w| residuals(w)[0] = f64::NAN),
+            ),
+            (
+                "route residuals under shortest-hop routing",
+                Box::new(|w| w.scen.route_weight = Default::default()),
+            ),
+        ];
         assert!(!snap.delivered.is_empty(), "the run delivered by 30 s");
-        from_bytes(&to_bytes(&snap).expect("encodes")).expect("the capture itself decodes");
-        for (label, edit) in cases {
-            let mut bad = snap.clone();
+        for capture in [&snap, &max_min] {
+            let back = from_bytes(&to_bytes(capture).expect("encodes"));
+            assert_eq!(&back.expect("the capture itself decodes"), capture);
+        }
+        let cases = cases.into_iter().map(|c| (&snap, c));
+        for (capture, (label, edit)) in cases.chain(basis_cases.into_iter().map(|c| (&max_min, c)))
+        {
+            let mut bad = capture.clone();
             edit(&mut bad);
             let bytes = to_bytes(&bad).expect("encodes");
             match from_bytes(&bytes) {
@@ -552,6 +583,12 @@ mod tests {
                 other => panic!("{label}: expected a decode error, got {other:?}"),
             }
         }
+    }
+
+    fn residuals(w: &mut WorldState) -> &mut Vec<f64> {
+        w.route_residual
+            .as_mut()
+            .expect("max-min routing keeps its residuals")
     }
 
     #[test]

@@ -206,10 +206,10 @@ fn restored_pauses_continue_exactly() {
     }
 }
 
-/// The frame checksum, recomputed for edited payloads.
+/// The frame checksum (FNV-1a-64), recomputed for edited payloads.
 fn checksum(payload: &[u8]) -> u64 {
     payload.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
-        (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
     })
 }
 
@@ -280,6 +280,23 @@ fn checksum_valid_mutants_decode_to_errors_or_restorable_states() {
     assert!(
         typed > 0 && restored > 0,
         "{typed} errors, {restored} restores"
+    );
+}
+
+/// A checkpoint carries the basis the routes are computed from, not the
+/// route tables: the 576-node grid's stays under 300 KB (its two
+/// all-pairs tables alone once took about 3.2 MB).
+#[test]
+fn grid_checkpoint_carries_no_route_tables() {
+    let scen = spec("serve_long");
+    let mut lw = World::build(&scen, &RunOptions::default());
+    lw.run_to(SimTime::from_secs(1));
+    let snap = lw.snapshot();
+    let bytes = to_bytes_with_meta(&snap, &RunMeta::derived_from(&snap)).expect("encodes");
+    assert!(
+        bytes.len() < 300_000,
+        "serve_long at 1 s encodes to {} B",
+        bytes.len()
     );
 }
 
