@@ -165,10 +165,76 @@ impl Topology {
             .collect()
     }
 
-    /// Precomputed neighbour sets for every node at the given range.
+    /// Precomputed neighbour sets for every node at the given range: row
+    /// `i` equals [`Topology::neighbors_within`] of node `i`, ascending.
+    ///
+    /// Nodes are binned into square cells twice the range wide, and each
+    /// node tests only the 3 × 3 block of cells around its own with
+    /// [`Topology::in_range`]. An in-range pair is at most one range
+    /// apart on each axis, half a cell, so float rounding in the cell
+    /// index can never put it two cells apart. The cost is linear in the
+    /// node count for a field of even density. A range that is zero or
+    /// not finite, or a placement too spread out to bin, falls back to
+    /// the per-node scan.
     pub fn neighbor_table(&self, range_m: f64) -> Vec<Vec<NodeId>> {
-        self.nodes()
-            .map(|n| self.neighbors_within(n, range_m))
+        let scan = || {
+            self.nodes()
+                .map(|n| self.neighbors_within(n, range_m))
+                .collect()
+        };
+        // `in_range` compares against the squared range, so its sign
+        // does not matter.
+        let side = 2.0 * range_m.abs();
+        if !(side.is_finite() && side > 0.0) || self.positions.is_empty() {
+            return scan();
+        }
+        let (mut lo_x, mut lo_y) = (f64::INFINITY, f64::INFINITY);
+        let (mut hi_x, mut hi_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for p in &self.positions {
+            (lo_x, lo_y) = (lo_x.min(p.x), lo_y.min(p.y));
+            (hi_x, hi_y) = (hi_x.max(p.x), hi_y.max(p.y));
+        }
+        // Cell indices must stay far from i64's edges (so a neighbour
+        // cell's index never overflows), and every coordinate finite.
+        const MAX_CELLS: f64 = (1u64 << 40) as f64;
+        if !((hi_x - lo_x) / side < MAX_CELLS && (hi_y - lo_y) / side < MAX_CELLS) {
+            return scan();
+        }
+        let cell = |p: &Position| {
+            (
+                ((p.x - lo_x) / side).floor() as i64,
+                ((p.y - lo_y) / side).floor() as i64,
+            )
+        };
+        // Every node by cell, then by id.
+        let mut binned: Vec<((i64, i64), NodeId)> = self
+            .positions
+            .iter()
+            .zip(self.nodes())
+            .map(|(p, id)| (cell(p), id))
+            .collect();
+        binned.sort_unstable();
+        self.positions
+            .iter()
+            .zip(self.nodes())
+            .map(|(p, a)| {
+                let (cx, cy) = cell(p);
+                let mut near = Vec::new();
+                for x in cx - 1..=cx + 1 {
+                    for y in cy - 1..=cy + 1 {
+                        let start = binned.partition_point(|e| e.0 < (x, y));
+                        near.extend(
+                            binned[start..]
+                                .iter()
+                                .take_while(|e| e.0 == (x, y))
+                                .map(|e| e.1)
+                                .filter(|&b| self.in_range(a, b, range_m)),
+                        );
+                    }
+                }
+                near.sort_unstable();
+                near
+            })
             .collect()
     }
 }
@@ -267,10 +333,44 @@ mod tests {
 
     #[test]
     fn neighbor_table_matches_queries() {
-        let t = Topology::grid(4, 40.0);
-        let table = t.neighbor_table(40.0);
-        for n in t.nodes() {
-            assert_eq!(table[n.index()], t.neighbors_within(n, 40.0));
+        let mut rng = Rng::new(22);
+        let mut fields = Vec::new();
+        for n in [1, 2, 40, 300] {
+            fields.push((Topology::random_uniform(n, 400.0, 150.0, &mut rng), 40.0));
+        }
+        for spacing in [40.0, 0.5, 37.25, 1e-3, 3e5] {
+            fields.push((Topology::grid(7, spacing), spacing));
+            fields.push((Topology::line(9, spacing), spacing));
+        }
+        // Nodes on top of each other, and one far away.
+        let mut stacked = vec![Position::new(5.0, 5.0); 3];
+        stacked.push(Position::new(-1e6, 2e6));
+        fields.push((Topology::from_positions(stacked), 40.0));
+        for (t, spacing) in &fields {
+            let ranges = [
+                0.0,
+                spacing * 0.5,
+                *spacing,
+                spacing * (1.0 - f64::EPSILON),
+                spacing * (1.0 + f64::EPSILON),
+                spacing * 2f64.sqrt(),
+                spacing * 3.0,
+                -spacing,
+                f64::INFINITY,
+                f64::NAN,
+            ];
+            for range in ranges {
+                let table = t.neighbor_table(range);
+                assert_eq!(table.len(), t.len());
+                for n in t.nodes() {
+                    assert_eq!(
+                        table[n.index()],
+                        t.neighbors_within(n, range),
+                        "{} nodes, node {n}, spacing {spacing}, range {range}",
+                        t.len()
+                    );
+                }
+            }
         }
     }
 

@@ -93,10 +93,11 @@ impl NeighborIndex {
     pub fn new(topo: &Topology, range_m: f64, part: &Partition) -> Self {
         let k = part.k();
         let buckets = topo
-            .nodes()
-            .map(|n| {
+            .neighbor_table(range_m)
+            .into_iter()
+            .map(|near| {
                 let mut by_shard = vec![Vec::new(); k];
-                for m in topo.neighbors_within(n, range_m) {
+                for m in near {
                     by_shard[part.shard_of(m)].push(m);
                 }
                 by_shard
