@@ -102,11 +102,6 @@ impl NextHopBuffers {
         }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.cap_bytes
-    }
-
     /// Bytes currently buffered across all next hops.
     pub fn total_bytes(&self) -> usize {
         self.total_bytes

@@ -104,20 +104,6 @@ impl BcpConfig {
         self
     }
 
-    /// Returns a copy with a different buffer capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is smaller than one frame payload.
-    pub fn with_buffer_cap(mut self, cap: usize) -> Self {
-        assert!(
-            cap >= self.frame_payload,
-            "buffer must hold at least one frame"
-        );
-        self.buffer_cap_bytes = cap;
-        self
-    }
-
     /// Validates internal consistency (call after manual field edits).
     ///
     /// # Panics

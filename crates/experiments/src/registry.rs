@@ -28,12 +28,6 @@ impl RunCtx {
             out_dir: None,
         }
     }
-
-    /// Adds an artifact directory.
-    pub fn with_out_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.out_dir = Some(dir.into());
-        self
-    }
 }
 
 /// One reproducible experiment.

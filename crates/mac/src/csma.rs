@@ -103,13 +103,6 @@ impl MacConfig {
         }
     }
 
-    /// Returns a copy with link ACKs disabled (pure best-effort CSMA).
-    pub fn without_acks(mut self) -> Self {
-        self.link_acks = false;
-        self.max_attempts = 1;
-        self
-    }
-
     /// Returns a copy with a different queue capacity.
     ///
     /// # Panics
@@ -275,11 +268,6 @@ impl CsmaMac {
     /// Behaviour counters.
     pub fn stats(&self) -> MacStats {
         self.stats
-    }
-
-    /// Frames currently queued (including the one in flight).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// `true` when the MAC owes nothing: no queued or in-flight frames, no

@@ -123,11 +123,6 @@ impl EnergyLedger {
         self.buckets[bucket.index()] += energy;
     }
 
-    /// The bucket the ongoing span is attributed to.
-    pub fn current_bucket(&self) -> EnergyBucket {
-        self.bucket
-    }
-
     /// The draw of the ongoing span.
     pub fn current_power(&self) -> Power {
         self.power

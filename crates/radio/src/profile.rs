@@ -92,11 +92,6 @@ impl RadioProfile {
         ) + self.preamble
     }
 
-    /// Airtime of `bytes` raw bytes (no framing overhead).
-    pub fn raw_airtime(&self, bytes: usize) -> SimDuration {
-        SimDuration::bit_airtime((bytes * 8) as u64, self.bit_rate_bps)
-    }
-
     /// Airtime of a standalone control frame of `bytes` (e.g. a link ACK):
     /// preamble plus the bytes at the data rate, with no payload header.
     pub fn control_airtime(&self, bytes: usize) -> SimDuration {

@@ -87,16 +87,6 @@ impl Power {
     pub fn as_milliwatts(self) -> f64 {
         self.0 * 1e3
     }
-
-    /// Energy dissipated at this power over fractional `secs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn energy_over_secs(self, secs: f64) -> Energy {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid duration {secs} s");
-        Energy(self.0 * secs)
-    }
 }
 
 impl Energy {

@@ -1016,18 +1016,6 @@ impl<S: PdesShard> SingleStepper<S> {
     pub fn with_shard<R>(&mut self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut lock(&self.slots[0]).shard)
     }
-
-    /// Dissolves the stepper into `(shard, queue, global queue)`.
-    pub fn into_parts(self) -> (S, ShardQueue<S::Ev>, ShardQueue<S::Global>) {
-        let slot = self
-            .slots
-            .into_iter()
-            .next()
-            .expect("stepper has one slot")
-            .into_inner()
-            .expect("shard lock poisoned");
-        (slot.shard, slot.queue, self.gqueue)
-    }
 }
 
 /// Pops and handles exactly one event of shard `i`, routing its messages

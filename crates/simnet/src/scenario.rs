@@ -312,14 +312,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the low radio's sleep schedule (builder style; prefer
-    /// [`ScenarioBuilder::low_sleep`](crate::spec::ScenarioBuilder::low_sleep),
-    /// which validates the schedule's invariants).
-    pub fn with_low_sleep(mut self, schedule: SleepSchedule) -> Self {
-        self.low_sleep = schedule;
-        self
-    }
-
     /// Stops traffic generation at `cutoff` and flushes BCP buffers then.
     pub fn with_traffic_cutoff(mut self, cutoff: SimDuration, flush: bool) -> Self {
         self.traffic_cutoff = Some(cutoff);
