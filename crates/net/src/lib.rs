@@ -11,8 +11,9 @@
 //! * [`propagation`] — received-power links: log-distance path loss,
 //!   per-link log-normal shadowing, and the SINR capture rule behind the
 //!   `phys = logn:…` profile.
-//! * [`routing`] — deterministic all-pairs shortest-hop routes per radio
-//!   (the paper's "two separate trees") and the learned high-radio
+//! * [`routing`] — deterministic shortest-hop routes per radio (the
+//!   paper's "two separate trees"), one column per destination and built
+//!   only for the destinations asked for, and the learned high-radio
 //!   [`ShortcutTable`] of Section 3.
 //! * [`partition`] — spatial strip partitioning of a topology into shards
 //!   for the multi-core conservative simulator.

@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "BCPSNAP1"
-//! 8       4     format version, little-endian u32 (currently 4)
+//! 8       4     format version, little-endian u32 (currently 5)
 //! 12      n     payload: the scenario's .scn text, the world state, the RunMeta
 //! 12+n    8     checksum of the payload, little-endian
 //! ```
@@ -27,20 +27,29 @@
 //! trace switch/filter — so a resume can detect (and refuse) conflicting
 //! CLI flags instead of silently diverging.
 //!
-//! The checksum is an FNV-1a-style hash: starting from the FNV-64 offset
-//! basis `0xcbf29ce484222325`, each payload byte is XORed in and the
-//! state multiplied by `0x1_0000_01b3` (2^32 + 435, wrapping) — not the
-//! FNV-64 prime `0x100_0000_01b3`. It detects accidental corruption; it
-//! is no defence against a deliberately crafted file.
+//! A checkpoint carries no route tables. Routes are a pure function of
+//! the topology, the dead set and, under max–min residual routing, the
+//! residual energies at the last publish; the world state carries the
+//! liveness flags and, under that weight only, the residual vector, and
+//! a restore recomputes the routes from them.
+//!
+//! The checksum is FNV-1a-64: starting from the offset basis
+//! `0xcbf29ce484222325`, each payload byte is XORed in and the state
+//! multiplied by the prime `0x100_0000_01b3` (wrapping). It detects
+//! accidental corruption; it is no defence against a deliberately
+//! crafted file.
 //!
 //! # Version policy
 //!
 //! The version number covers the *payload encoding*. Readers accept
-//! every version they know (currently only 4 — version 3 split the
+//! every version they know (currently only 5 — version 3 split the
 //! loss model out of the channel slots into per-node loss state and
 //! added received-power audibility and shadowing; version 4 replaced
 //! the per-copy fate list with per-flow delivered-sequence bitmaps plus
-//! the unsettled losses) and reject the rest with
+//! the unsettled losses; version 5 replaced the route tables and the
+//! dissemination tree with the route basis, and the checksum's
+//! multiplier `0x1_0000_01b3` with the FNV-64 prime) and reject the
+//! rest with
 //! [`SnapshotError::UnsupportedVersion`] — there is no silent best-effort
 //! decoding. Any change to the encoded layout (new fields, reordered
 //! fields, changed varint widths) bumps the version; old checkpoints are
@@ -55,7 +64,9 @@
 //! but whose payload does not decode — or does not fit the scenario it
 //! embeds: a wrong node count or id, a part the scenario does not build,
 //! an all-zero RNG stream, a pause past the horizon, a pending event
-//! before the pause — is [`SnapshotError::Decode`]. Every state that
+//! before the pause, a route residual vector of the wrong length, holding
+//! a NaN or present under shortest-hop routing — is
+//! [`SnapshotError::Decode`]. Every state that
 //! decodes is one `LiveWorld::restore` accepts.
 
 #![warn(missing_docs)]
