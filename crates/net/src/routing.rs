@@ -90,6 +90,7 @@ impl Routes {
         }
         let mut next = vec![Vec::new(); n];
         let mut neighbors = None;
+        let mut queue = Vec::new();
         for dst in dests {
             if !next[dst.index()].is_empty() {
                 continue;
@@ -101,7 +102,7 @@ impl Routes {
                 let neighbors =
                     neighbors.get_or_insert_with(|| prune(topo.neighbor_table(range_m), &dead));
                 match residual_j {
-                    None => bfs_from(neighbors, dst),
+                    None => bfs_from(neighbors, dst, &mut queue),
                     Some(r) => widest_from(neighbors, r, dst),
                 }
             };
@@ -329,11 +330,17 @@ fn widest_from(neighbors: &[Vec<NodeId>], residual_j: &[f64], root: NodeId) -> V
 }
 
 /// Breadth-first tree rooted at `root`: each node's first hop toward it.
-fn bfs_from(neighbors: &[Vec<NodeId>], root: NodeId) -> Vec<Option<NodeId>> {
+/// `queue` is scratch space, reused across columns.
+fn bfs_from(
+    neighbors: &[Vec<NodeId>],
+    root: NodeId,
+    queue: &mut Vec<NodeId>,
+) -> Vec<Option<NodeId>> {
     let mut toward: Vec<Option<NodeId>> = vec![None; neighbors.len()];
     // A FIFO queue: every node enters at most once, so a Vec and a read
     // cursor suffice.
-    let mut queue = vec![root];
+    queue.clear();
+    queue.push(root);
     let mut head = 0;
     while let Some(&u) = queue.get(head) {
         head += 1;

@@ -173,19 +173,22 @@ impl Topology {
     /// [`Topology::in_range`]. An in-range pair is at most one range
     /// apart on each axis, half a cell, so float rounding in the cell
     /// index can never put it two cells apart. The cost is linear in the
-    /// node count for a field of even density. A range that is zero or
-    /// not finite, or a placement too spread out to bin, falls back to
-    /// the per-node scan.
+    /// node count for a field of even density. The per-node scan runs
+    /// instead where binning cannot save a test or does not fit: a range
+    /// that is zero or not finite, a field at most 3 cells a side (the
+    /// block around its middle cell is the whole field), or one with
+    /// more than 16 cells per node.
     pub fn neighbor_table(&self, range_m: f64) -> Vec<Vec<NodeId>> {
+        let n = self.len();
         let scan = || {
             self.nodes()
-                .map(|n| self.neighbors_within(n, range_m))
+                .map(|v| self.neighbors_within(v, range_m))
                 .collect()
         };
         // `in_range` compares against the squared range, so its sign
         // does not matter.
         let side = 2.0 * range_m.abs();
-        if !(side.is_finite() && side > 0.0) || self.positions.is_empty() {
+        if !(side.is_finite() && side > 0.0) {
             return scan();
         }
         let (mut lo_x, mut lo_y) = (f64::INFINITY, f64::INFINITY);
@@ -194,43 +197,54 @@ impl Topology {
             (lo_x, lo_y) = (lo_x.min(p.x), lo_y.min(p.y));
             (hi_x, hi_y) = (hi_x.max(p.x), hi_y.max(p.y));
         }
-        // Cell indices must stay far from i64's edges (so a neighbour
-        // cell's index never overflows), and every coordinate finite.
-        const MAX_CELLS: f64 = (1u64 << 40) as f64;
-        if !((hi_x - lo_x) / side < MAX_CELLS && (hi_y - lo_y) / side < MAX_CELLS) {
+        let cols = ((hi_x - lo_x) / side).floor() + 1.0;
+        let rows = ((hi_y - lo_y) / side).floor() + 1.0;
+        // An empty or non-finite field gives an infinite or NaN count.
+        let cells = cols * rows;
+        if cells.is_nan() || cells > 16.0 * n as f64 || (cols <= 3.0 && rows <= 3.0) {
             return scan();
         }
-        let cell = |p: &Position| {
-            (
-                ((p.x - lo_x) / side).floor() as i64,
-                ((p.y - lo_y) / side).floor() as i64,
-            )
-        };
-        // Every node by cell, then by id.
-        let mut binned: Vec<((i64, i64), NodeId)> = self
+        let (cols, rows) = (cols as usize, rows as usize);
+        // Each node's cell, row-major; coordinates are at least the
+        // minimum, so `as` floors them.
+        let cells: Vec<usize> = self
             .positions
             .iter()
-            .zip(self.nodes())
-            .map(|(p, id)| (cell(p), id))
+            .map(|p| {
+                let x = (((p.x - lo_x) / side) as usize).min(cols - 1);
+                let y = (((p.y - lo_y) / side) as usize).min(rows - 1);
+                y * cols + x
+            })
             .collect();
-        binned.sort_unstable();
-        self.positions
-            .iter()
-            .zip(self.nodes())
-            .map(|(p, a)| {
-                let (cx, cy) = cell(p);
+        // The nodes of cell `c` are `members[start[c]..start[c + 1]]`,
+        // ascending, so the cells of one row are one contiguous slice.
+        let mut start = vec![0usize; cols * rows + 1];
+        for &c in &cells {
+            start[c + 1] += 1;
+        }
+        for c in 0..cols * rows {
+            start[c + 1] += start[c];
+        }
+        let mut members = vec![NodeId(0); n];
+        let mut next = start.clone();
+        for (id, &c) in self.nodes().zip(&cells) {
+            members[next[c]] = id;
+            next[c] += 1;
+        }
+        self.nodes()
+            .zip(&cells)
+            .map(|(a, &c)| {
+                let (x, y) = (c % cols, c / cols);
+                let (left, right) = (x.saturating_sub(1), (x + 1).min(cols - 1));
                 let mut near = Vec::new();
-                for x in cx - 1..=cx + 1 {
-                    for y in cy - 1..=cy + 1 {
-                        let start = binned.partition_point(|e| e.0 < (x, y));
-                        near.extend(
-                            binned[start..]
-                                .iter()
-                                .take_while(|e| e.0 == (x, y))
-                                .map(|e| e.1)
-                                .filter(|&b| self.in_range(a, b, range_m)),
-                        );
-                    }
+                for row in y.saturating_sub(1)..=(y + 1).min(rows - 1) {
+                    let block = &members[start[row * cols + left]..start[row * cols + right + 1]];
+                    near.extend(
+                        block
+                            .iter()
+                            .copied()
+                            .filter(|&b| self.in_range(a, b, range_m)),
+                    );
                 }
                 near.sort_unstable();
                 near
@@ -346,6 +360,11 @@ mod tests {
         let mut stacked = vec![Position::new(5.0, 5.0); 3];
         stacked.push(Position::new(-1e6, 2e6));
         fields.push((Topology::from_positions(stacked), 40.0));
+        // No nodes, and a node with no finite position.
+        fields.push((Topology::from_positions(Vec::new()), 40.0));
+        let mut lost = vec![Position::new(f64::NAN, 0.0)];
+        lost.extend((0..30).map(|i| Position::new(i as f64 * 40.0, 0.0)));
+        fields.push((Topology::from_positions(lost), 40.0));
         for (t, spacing) in &fields {
             let ranges = [
                 0.0,

@@ -44,8 +44,8 @@
 //! route column of both radios; the sensor and 802.11 models build only
 //! the columns toward their data destinations. Measured on a 2-vCPU host
 //! (release, peak RSS of the process), `World::build` alone takes 37 MB
-//! and 19 ms for the sensor model at 2,025 nodes and 38 MB and 30 ms at
-//! 4,096, against 83 MB and 87 ms, and 294 MB and 0.32 s, for dual
+//! and 16 ms for the sensor model at 2,025 nodes and 38 MB and 20 ms at
+//! 4,096, against 83 MB and 0.11 s, and 294 MB and 0.32 s, for dual
 //! radio. [`parse_spec`] refuses a larger topology with
 //! [`SpecError::TooManyNodes`] before allocating it, so one line of a
 //! submitted cell cannot exhaust a server's memory.
