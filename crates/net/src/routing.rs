@@ -72,7 +72,8 @@ impl Routes {
     ///
     /// # Panics
     ///
-    /// Panics if a residual vector does not hold one value per node.
+    /// Panics if a residual vector does not hold one value per node, or
+    /// if an excluded node or a destination is not a node of `topo`.
     pub fn toward(
         topo: &Topology,
         range_m: f64,
