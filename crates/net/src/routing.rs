@@ -380,7 +380,7 @@ fn bfs_from(
 /// assert_eq!(tree.children(NodeId(0)), &[NodeId(1)]);
 /// assert_eq!(tree.subtree(NodeId(2)), vec![NodeId(2), NodeId(3)]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dissemination {
     root: NodeId,
     children: Vec<Vec<NodeId>>,
