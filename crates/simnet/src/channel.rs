@@ -77,8 +77,9 @@ impl ClassPhys {
 }
 
 /// Immutable per-class adjacency, bucketed by the owning shard of each
-/// neighbour. Shared (behind an `Arc`) by all shards.
-#[derive(Debug, Clone)]
+/// neighbour. Shared (behind an `Arc`) by all shards. The default index
+/// holds no node, so reading any node of it panics.
+#[derive(Debug, Clone, Default)]
 pub struct NeighborIndex {
     /// `buckets[node][shard]` = neighbours of `node` owned by `shard`,
     /// ascending by id.

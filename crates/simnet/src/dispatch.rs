@@ -1,8 +1,9 @@
 //! Binding the sans-IO protocol machines to the shard: MAC actions, BCP
 //! sender/receiver actions, payload bookkeeping and the high-radio power
 //! reference counting. Everything here touches exactly one owned node
-//! (plus the shard-local payload/timer tables); cross-node effects only
-//! ever leave through [`ShardState::start_tx`].
+//! (plus the shard-local payload table, and the timer table through
+//! [`ShardState::arm`] and [`ShardState::disarm`]); cross-node effects
+//! only ever leave through [`ShardState::start_tx`].
 
 use crate::events::{Class, Ev, Payload};
 use crate::fate::{fate_key, Fate};
@@ -59,16 +60,9 @@ impl ShardState {
         match a {
             MacAction::StartTx(frame) => self.start_tx(ctx, node, class, frame),
             MacAction::SetTimer { kind, delay } => {
-                let id = ctx.after(delay, Ev::MacTimer { node, class, kind });
-                if let Some(old) = self.mac_timers.insert((node.0, class.index(), kind), id) {
-                    ctx.cancel(old);
-                }
+                self.arm(ctx, delay, Ev::MacTimer { node, class, kind })
             }
-            MacAction::CancelTimer { kind } => {
-                if let Some(id) = self.mac_timers.remove(&(node.0, class.index(), kind)) {
-                    ctx.cancel(id);
-                }
-            }
+            MacAction::CancelTimer { kind } => self.disarm(ctx, Ev::MacTimer { node, class, kind }),
             MacAction::Deliver(frame) => self.deliver(ctx, node, class, frame, payload),
             MacAction::TxOutcome { ok, tag, .. } => self.tx_outcome(ctx, node, class, ok, tag),
         }
@@ -307,15 +301,10 @@ impl ShardState {
                 }
                 SenderAction::ArmAckTimer { burst } => {
                     let delay = self.scen.bcp.wakeup_ack_timeout;
-                    let id = ctx.after(delay, Ev::BcpAckTimer { node, burst });
-                    if let Some(old) = self.ack_timers.insert((node.0, burst.0), id) {
-                        ctx.cancel(old);
-                    }
+                    self.arm(ctx, delay, Ev::BcpAckTimer { node, burst });
                 }
                 SenderAction::CancelAckTimer { burst } => {
-                    if let Some(id) = self.ack_timers.remove(&(node.0, burst.0)) {
-                        ctx.cancel(id);
-                    }
+                    self.disarm(ctx, Ev::BcpAckTimer { node, burst });
                 }
                 SenderAction::WakeHighRadio { burst } => {
                     self.acquire_high(ctx, node, Some(burst));
@@ -392,15 +381,10 @@ impl ShardState {
                 }
                 ReceiverAction::ArmDataTimer { burst } => {
                     let delay = self.scen.bcp.receiver_data_timeout;
-                    let id = ctx.after(delay, Ev::BcpDataTimer { node, burst });
-                    if let Some(old) = self.data_timers.insert((node.0, burst.0), id) {
-                        ctx.cancel(old);
-                    }
+                    self.arm(ctx, delay, Ev::BcpDataTimer { node, burst });
                 }
                 ReceiverAction::CancelDataTimer { burst } => {
-                    if let Some(id) = self.data_timers.remove(&(node.0, burst.0)) {
-                        ctx.cancel(id);
-                    }
+                    self.disarm(ctx, Ev::BcpDataTimer { node, burst });
                 }
                 ReceiverAction::ReleaseHighRadio { .. } => self.release_high(ctx, node),
                 ReceiverAction::DeliverPackets { from: _, packets } => {
@@ -447,9 +431,7 @@ impl ShardState {
 
     fn acquire_high(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId, ready_burst: Option<BurstId>) {
         let now = ctx.now();
-        if let Some(id) = self.linger.remove(&node.0) {
-            ctx.cancel(id);
-        }
+        self.disarm(ctx, Ev::HighIdleOff { node });
         let state = {
             let n = self.node_mut(node);
             n.high_refs += 1;
@@ -513,10 +495,7 @@ impl ShardState {
                 let until = ctx.now() + listen;
                 self.node_mut(node).listen_until = until;
             }
-            let id = ctx.after(delay, Ev::HighIdleOff { node });
-            if let Some(old) = self.linger.insert(node.0, id) {
-                ctx.cancel(old);
-            }
+            self.arm(ctx, delay, Ev::HighIdleOff { node });
         }
     }
 
@@ -557,7 +536,6 @@ impl ShardState {
     }
 
     pub(crate) fn high_idle_off(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
-        self.linger.remove(&node.0);
         let now = ctx.now();
         let turned_off = {
             let n = self.node_mut(node);
@@ -581,10 +559,7 @@ impl ShardState {
                 _ => {
                     // Busy (rx/tx/waking/ack owed): try again shortly.
                     let delay = self.scen.off_linger;
-                    let id = ctx.after(delay, Ev::HighIdleOff { node });
-                    if let Some(old) = self.linger.insert(node.0, id) {
-                        ctx.cancel(old);
-                    }
+                    self.arm(ctx, delay, Ev::HighIdleOff { node });
                     false
                 }
             }
@@ -627,10 +602,7 @@ impl ShardState {
         };
         // Re-arm first: if the resume's power sync kills the node below,
         // the kill cancels this timer along with every other one.
-        let id = ctx.after(interval, Ev::WakeSample { node });
-        if let Some(old) = self.lpl_timers.insert(node.0, id) {
-            ctx.cancel(old);
-        }
+        self.arm(ctx, interval, Ev::WakeSample { node });
         match self.node(node).low_radio.state() {
             RadioState::Sleeping => {
                 if !self.lpl_resume(ctx, node) {

@@ -258,7 +258,35 @@ fn timer_rank(kind: MacTimer) -> u64 {
     }
 }
 
+impl Ev {
+    /// The identity of a cancellable timer: its own [`Keyed::ord`], which
+    /// packs the node with the class/kind/burst that tells its timers
+    /// apart. A shard files each pending timer under this identity, one
+    /// at a time, so arming it again cancels the earlier one. `None` for
+    /// every event that is not a timer.
+    pub(crate) fn timer(&self) -> Option<u128> {
+        match self {
+            Ev::MacTimer { .. }
+            | Ev::BcpAckTimer { .. }
+            | Ev::BcpDataTimer { .. }
+            | Ev::HighIdleOff { .. }
+            | Ev::PowerCheck { .. }
+            | Ev::WakeSample { .. } => Some(self.ord()),
+            _ => None,
+        }
+    }
+}
+
+/// The node a timer identity ([`Ev::timer`]) belongs to: the entity field
+/// of [`pack_ord`].
+pub(crate) fn timer_node(timer: u128) -> NodeId {
+    NodeId((timer >> 64) as u32)
+}
+
 impl Keyed for Ev {
+    // Inlined everywhere: where the variant is known (a handler's arm, an
+    // inlined `ShardState::arm`) the match folds to one `pack_ord`.
+    #[inline(always)]
     fn ord(&self) -> u128 {
         match *self {
             Ev::AppArrival { node } => pack_ord(1, node.0, 0),
@@ -353,6 +381,45 @@ mod tests {
             Ev::Sleep { node: NodeId(1) }.ord(),
             Ev::Sleep { node: NodeId(2) }.ord()
         );
+        // Timer identities: two bursts of one node's ack timer, and the
+        // ack against the data timer of one burst, are distinct timers.
+        let node = NodeId(9);
+        let (b0, b1) = (BurstId::new(node, 0), BurstId::new(node, 1));
+        let ack0 = Ev::BcpAckTimer { node, burst: b0 };
+        let ack1 = Ev::BcpAckTimer { node, burst: b1 };
+        let data0 = Ev::BcpDataTimer { node, burst: b0 };
+        assert_ne!(ack0.timer(), ack1.timer());
+        assert_ne!(ack0.timer(), data0.timer());
+        // Every timer identity names its own node; other events have none.
+        let timers = [
+            ack0,
+            ack1,
+            data0,
+            Ev::MacTimer {
+                node,
+                class: Class::High,
+                kind: MacTimer::SifsAck,
+            },
+            Ev::HighIdleOff { node },
+            Ev::PowerCheck { node },
+            Ev::WakeSample { node },
+        ];
+        for ev in &timers {
+            let id = ev.timer().expect("a timer has an identity");
+            assert_eq!(id, ev.ord());
+            assert_eq!(timer_node(id), node, "{ev:?}");
+        }
+        for ev in [
+            Ev::AppArrival { node },
+            Ev::RadioWakeDone { node },
+            Ev::Flush { node },
+            Ev::Sleep { node },
+            Ev::TxEnd {
+                tx: TxId::new(node, 3),
+            },
+        ] {
+            assert_eq!(ev.timer(), None, "{ev:?}");
+        }
     }
 
     #[test]

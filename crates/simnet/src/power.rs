@@ -53,17 +53,8 @@ impl ShardState {
         }
         let supply = self.node(node).supply.as_ref().expect("checked above");
         match supply.time_to_depletion(draw) {
-            Some(d) => {
-                let id = ctx.after(d, Ev::PowerCheck { node });
-                if let Some(old) = self.power_timers.insert(node.0, id) {
-                    ctx.cancel(old);
-                }
-            }
-            None => {
-                if let Some(old) = self.power_timers.remove(&node.0) {
-                    ctx.cancel(old);
-                }
-            }
+            Some(d) => self.arm(ctx, d, Ev::PowerCheck { node }),
+            None => self.disarm(ctx, Ev::PowerCheck { node }),
         }
     }
 
@@ -90,44 +81,12 @@ impl ShardState {
         let key = ctx.current_key();
         self.trace_with(key, || TraceEvent::NodeDeath { node: node.0 });
         // Stale events are alive-guarded anyway; cancelling keeps the
-        // queue small.
-        let mut cancelled = Vec::new();
-        self.mac_timers.retain(|k, id| {
-            let stale = k.0 == node.0;
-            if stale {
-                cancelled.push(*id);
-            }
-            !stale
-        });
-        self.ack_timers.retain(|k, id| {
-            let stale = k.0 == node.0;
-            if stale {
-                cancelled.push(*id);
-            }
-            !stale
-        });
-        self.data_timers.retain(|k, id| {
-            let stale = k.0 == node.0;
-            if stale {
-                cancelled.push(*id);
-            }
-            !stale
-        });
-        if let Some(id) = self.linger.remove(&node.0) {
-            cancelled.push(id);
-        }
-        if let Some(id) = self.power_timers.remove(&node.0) {
-            cancelled.push(id);
-        }
-        // The LPL wake-sample chain dies with the node (its doze draw is
-        // gone too: force_off already cut the radio to zero power).
-        if let Some(id) = self.lpl_timers.remove(&node.0) {
-            cancelled.push(id);
-        }
-        self.lpl_audible.remove(&node.0);
-        for id in cancelled {
+        // queue small. The LPL wake-sample chain goes with the rest (its
+        // doze draw is gone too: force_off already cut the radio).
+        for (_, id) in std::mem::take(&mut self.timers[node.index()]) {
             ctx.cancel(id);
         }
+        self.lpl_audible.remove(&node.0);
         ctx.global(
             now + self.death_latency,
             GlobalEv::NodeDied { node, at: now },

@@ -56,11 +56,10 @@ use crate::fate::{delivered_flows, settled_losses, FateBook};
 use crate::metrics::Metrics;
 use crate::node::NodeState;
 use crate::routes::{Control, SeriesState};
-use crate::scenario::{HighRoute, Scenario};
-use crate::shard::ShardState;
+use crate::scenario::Scenario;
+use crate::shard::{payload_rule, ShardState};
 use crate::world::{LiveWorld, RunOptions, Scaffold};
-use bcp_mac::types::{FrameKind, MacAddr};
-use bcp_net::addr::{AddrMap, HighAddr, LowAddr, NodeId};
+use bcp_net::addr::{AddrMap, NodeId};
 use bcp_net::propagation::PhysModel;
 use bcp_net::routing::RouteWeight;
 use bcp_power::{BatteryModel, PowerConfig, PowerSupply};
@@ -677,29 +676,11 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
                 ..
             } => {
                 // Re-derive the per-shard payload under the NEW partition
-                // with the same rule the sender's tx_end handler used.
-                let ci = class.index();
-                let dst_node = (frame.kind == FrameKind::Data && !frame.dst.is_broadcast())
-                    .then(|| node_of_mac(&scaf.addr, frame.dst, *class))
-                    .flatten();
-                let learning = *class == Class::High
-                    && matches!(
-                        scen.high_route,
-                        HighRoute::LowParents {
-                            shortcuts: true,
-                            ..
-                        }
-                    );
-                for sh in hearing_shards(&scaf, ci, *sender) {
-                    let p = if frame.kind == FrameKind::Data {
-                        let needed = frame.dst.is_broadcast()
-                            || learning
-                            || dst_node.is_some_and(|d| part.shard_of(d) == sh);
-                        if needed {
-                            payload.clone()
-                        } else {
-                            None
-                        }
+                // with the rule the sender's tx_end handler uses.
+                let gets_payload = payload_rule(&scen, &scaf.addr, &part, *class, frame);
+                for sh in hearing_shards(&scaf, class.index(), *sender) {
+                    let p = if gets_payload(sh) {
+                        payload.clone()
                     } else {
                         None
                     };
@@ -747,13 +728,6 @@ fn hearing_shards(scaf: &Scaffold, ci: usize, sender: NodeId) -> Vec<usize> {
     scaf.neigh[ci].shards_hearing(sender).collect()
 }
 
-fn node_of_mac(addr: &AddrMap, mac: MacAddr, class: Class) -> Option<NodeId> {
-    match class {
-        Class::Low => addr.node_of_low(LowAddr(mac.0 as u16)),
-        Class::High => addr.node_of_high(HighAddr(mac.0)),
-    }
-}
-
 /// The owner of a node-addressed event (`None` for the reception
 /// fan-outs, which address shards).
 fn target_node(ev: &Ev) -> Option<NodeId> {
@@ -773,32 +747,14 @@ fn target_node(ev: &Ev) -> Option<NodeId> {
     }
 }
 
-/// Schedules a restored event under its exact original key and
-/// re-registers it in the owning shard's cancellation table (the live
-/// world tracks at most one pending timer per table key, so a plain
-/// insert reproduces the tracked id).
+/// Schedules a restored event under its exact original key and, when it
+/// is a timer, files it in the owning shard's timer table (the live world
+/// holds at most one pending timer per identity).
 fn schedule_restored(s: &mut ShardState, q: &mut ShardQueue<Ev>, key: EvKey, ev: Ev) {
-    let id = q.schedule_with_key(key, ev.clone());
-    match ev {
-        Ev::MacTimer { node, class, kind } => {
-            s.mac_timers.insert((node.0, class.index(), kind), id);
-        }
-        Ev::BcpAckTimer { node, burst } => {
-            s.ack_timers.insert((node.0, burst.0), id);
-        }
-        Ev::BcpDataTimer { node, burst } => {
-            s.data_timers.insert((node.0, burst.0), id);
-        }
-        Ev::HighIdleOff { node } => {
-            s.linger.insert(node.0, id);
-        }
-        Ev::PowerCheck { node } => {
-            s.power_timers.insert(node.0, id);
-        }
-        Ev::WakeSample { node } => {
-            s.lpl_timers.insert(node.0, id);
-        }
-        _ => {}
+    let timer = ev.timer();
+    let id = q.schedule_with_key(key, ev);
+    if let Some(timer) = timer {
+        s.file(timer, id);
     }
 }
 
@@ -952,7 +908,7 @@ pub struct ExploreReport {
 /// ordering of `state` up to `end`, single-shard and single-stepped,
 /// checking per-step invariants in each interleaving:
 ///
-/// * a dead node's radios are both off;
+/// * a dead node's radios are both off, and it holds no pending timer;
 /// * a receiver holding a medium lock is actually receiving (or dead —
 ///   its lock is released by the frame's end);
 /// * a battery never over-draws its capacity, and never drains energy
@@ -1058,6 +1014,12 @@ fn check_invariants(
                 push_violation(
                     violations,
                     format!("t={t}: dead node {} has a radio powered on", node.id),
+                );
+            }
+            if !s.timers[i].is_empty() {
+                push_violation(
+                    violations,
+                    format!("t={t}: dead node {} holds a pending timer", node.id),
                 );
             }
         }
@@ -1335,6 +1297,77 @@ mod tests {
             (a - b).abs() < 1e-6,
             "death instants agree to float noise: {a} vs {b}"
         );
+    }
+
+    /// Each shard's timer table holds exactly the [`Ev::timer`] identities
+    /// of its live pending events, each filed under its own node. The
+    /// identities compare as `(rank, node, discriminant)`, as `pack_ord`
+    /// packs them, so a failure names the timers.
+    fn assert_tables_mirror_queues(lw: &LiveWorld, label: &str) {
+        let fields = |t: u128| ((t >> 96) as u8, (t >> 64) as u32, t as u64);
+        for (s, q) in &lw.shards {
+            let mut pending: Vec<_> = q
+                .live_entries()
+                .into_iter()
+                .filter_map(|(_, ev)| ev.timer().map(fields))
+                .collect();
+            let mut filed = Vec::new();
+            for (i, list) in s.timers.iter().enumerate() {
+                for &(timer, _) in list {
+                    assert_eq!(crate::events::timer_node(timer).index(), i, "{label}");
+                    filed.push(fields(timer));
+                }
+            }
+            pending.sort_unstable();
+            filed.sort_unstable();
+            assert_eq!(filed, pending, "{label}: shard {}", s.id);
+        }
+    }
+
+    #[test]
+    fn timer_tables_mirror_the_pending_timers() {
+        // Built worlds paused at t = 0 and then about every second, and
+        // each pause restored at another shard count: BCP handshakes and
+        // lingers, battery checks and deaths, LPL wake samples, route
+        // refreshes.
+        let spec = |text: &str| crate::spec::parse_spec(text).expect("checked-in spec parses");
+        let worlds = [
+            (
+                "single_hop",
+                spec(include_str!("../../../examples/specs/single_hop.scn")),
+            ),
+            (
+                "lifetime",
+                spec(include_str!("../../../examples/specs/lifetime.scn")),
+            ),
+            (
+                "lpl_monitoring",
+                spec(include_str!("../../../examples/specs/lpl_monitoring.scn")),
+            ),
+            (
+                "race_5node",
+                spec(include_str!("../../../examples/specs/race_5node.scn")),
+            ),
+            ("grid_sensor_deaths", grid_sensor_deaths(2)),
+        ];
+        let step = SimDuration::from_millis(997);
+        for (name, scen) in worlds {
+            let horizon = scen.end_time().min(SimTime::from_secs(200));
+            let other = if scen.shards == 1 { 2 } else { 1 };
+            let mut lw = World::build(&scen, &RunOptions::default());
+            let mut t = SimTime::ZERO;
+            while t <= horizon {
+                if t > SimTime::ZERO {
+                    lw.run_to(t);
+                }
+                let label = format!("{name} at {t}");
+                assert_tables_mirror_queues(&lw, &label);
+                let restored =
+                    LiveWorld::restore(&lw.snapshot().with_shards(other), &RunOptions::default());
+                assert_tables_mirror_queues(&restored, &format!("{label}, {other} shards"));
+                t += step;
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use bcp_power::BatteryModel;
 use bcp_radio::units::Energy;
 use bcp_sim::conservative::{run_conservative, EngineCounters};
 use bcp_sim::hash::FastMap;
-use bcp_sim::keyed::ShardQueue;
+use bcp_sim::keyed::{Keyed, ShardQueue};
 use bcp_sim::rng::Rng;
 use bcp_sim::threads::worker_count;
 use bcp_sim::time::{SimDuration, SimTime};
@@ -146,7 +146,8 @@ impl World {
             }
             if node.supply.is_some() {
                 // The handler projects the exact depletion instant.
-                queue.schedule(t0, Ev::PowerCheck { node: id });
+                let check = Ev::PowerCheck { node: id };
+                state.file(check.ord(), queue.schedule(t0, check));
             }
             if let bcp_mac::sleep::SleepSchedule::Lpl {
                 wake_interval,
@@ -157,8 +158,8 @@ impl World {
                 // The radio starts awake; treat [t0, t0+sample) as the
                 // first channel sample, then doze and sample periodically.
                 queue.schedule(t0 + sample, Ev::Sleep { node: id });
-                let first = queue.schedule(t0 + wake_interval, Ev::WakeSample { node: id });
-                state.lpl_timers.insert(id.0, first);
+                let first = Ev::WakeSample { node: id };
+                state.file(first.ord(), queue.schedule(t0 + wake_interval, first));
             }
             state.nodes[id.index()] = Some(node);
         }
@@ -431,17 +432,16 @@ impl Scaffold {
         // conservative lookahead: the profile range under disk, the
         // audibility radius under a received-power profile.
         let (phys, shadow_rng_state, reach) = build_phys(&scen);
+        let index = |class: Class| NeighborIndex::new(&scen.topo, reach[class.index()], &part);
+        // The sensor model never keys up a high radio: it gets an empty
+        // high-radio index (reading it panics) instead of the wide table.
         let neigh = [
-            Arc::new(NeighborIndex::new(
-                &scen.topo,
-                reach[Class::Low.index()],
-                &part,
-            )),
-            Arc::new(NeighborIndex::new(
-                &scen.topo,
-                reach[Class::High.index()],
-                &part,
-            )),
+            Arc::new(index(Class::Low)),
+            Arc::new(if scen.model == ModelKind::Sensor {
+                NeighborIndex::default()
+            } else {
+                index(Class::High)
+            }),
         ];
         let death_latency = World::death_latency(&scen);
         // Each sender's flow destination (the sink unless the pattern says
@@ -516,12 +516,7 @@ impl Scaffold {
             ],
             payloads: FastMap::default(),
             txs: FastMap::default(),
-            mac_timers: FastMap::default(),
-            ack_timers: FastMap::default(),
-            data_timers: FastMap::default(),
-            linger: FastMap::default(),
-            power_timers: FastMap::default(),
-            lpl_timers: FastMap::default(),
+            timers: vec![Vec::new(); n],
             lpl_audible: FastMap::default(),
             fates: FateBook::default(),
             mac_pool: Vec::new(),
