@@ -11,19 +11,37 @@
 use crate::addr::NodeId;
 use crate::topo::Topology;
 
-/// An assignment of every node to one of `k` shards.
+/// An assignment of every node to one of `k` shards, and of every node
+/// to a local index within its shard: its rank by id among the nodes
+/// that shard owns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     shard_of: Vec<u32>,
-    k: usize,
+    local_of: Vec<u32>,
+    sizes: Vec<usize>,
 }
 
 impl Partition {
     /// Puts all `n` nodes on a single shard (the sequential layout).
     pub fn single(n: usize) -> Partition {
+        Self::from_owners(vec![0; n], 1)
+    }
+
+    /// Ranks each node by id within its shard.
+    fn from_owners(shard_of: Vec<u32>, k: usize) -> Partition {
+        let mut sizes = vec![0usize; k];
+        let local_of = shard_of
+            .iter()
+            .map(|&s| {
+                let size = &mut sizes[s as usize];
+                *size += 1;
+                (*size - 1) as u32
+            })
+            .collect();
         Partition {
-            shard_of: vec![0; n],
-            k: 1,
+            shard_of,
+            local_of,
+            sizes,
         }
     }
 
@@ -120,12 +138,12 @@ impl Partition {
                 shard_of[node.index()] = shard as u32;
             }
         }
-        Partition { shard_of, k }
+        Self::from_owners(shard_of, k)
     }
 
     /// Number of shards.
     pub fn k(&self) -> usize {
-        self.k
+        self.sizes.len()
     }
 
     /// Number of nodes.
@@ -143,13 +161,14 @@ impl Partition {
         self.shard_of[node.index()] as usize
     }
 
+    /// `node`'s index among the nodes its shard owns, ascending by id.
+    pub fn local_of(&self, node: NodeId) -> usize {
+        self.local_of[node.index()] as usize
+    }
+
     /// Node count per shard.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k];
-        for &s in &self.shard_of {
-            sizes[s as usize] += 1;
-        }
-        sizes
+    pub fn shard_sizes(&self) -> &[usize] {
+        &self.sizes
     }
 
     /// Nodes with at least one radio neighbour (at `range_m`) on another
@@ -163,18 +182,6 @@ impl Partition {
                     .any(|&m| self.shard_of(m) != s)
             })
             .collect()
-    }
-
-    /// `true` when any in-range link crosses a shard boundary at
-    /// `range_m`. When no link of any radio class crosses, the shards are
-    /// mutually non-interacting and the lookahead is unbounded.
-    pub fn has_cross_links(&self, topo: &Topology, range_m: f64) -> bool {
-        topo.nodes().any(|n| {
-            let s = self.shard_of(n);
-            topo.neighbors_within(n, range_m)
-                .iter()
-                .any(|&m| self.shard_of(m) != s)
-        })
     }
 }
 
@@ -194,7 +201,8 @@ mod tests {
     fn single_shard_covers_everything() {
         let p = Partition::single(9);
         assert_eq!(p.k(), 1);
-        assert_eq!(p.shard_sizes(), vec![9]);
+        assert_eq!(p.shard_sizes(), [9]);
+        assert_eq!(p.local_of(NodeId(8)), 8);
         assert_eq!(p.shard_of(NodeId(8)), 0);
     }
 
@@ -229,6 +237,19 @@ mod tests {
     }
 
     #[test]
+    fn local_indices_rank_each_shards_nodes_by_id() {
+        let topo = Topology::grid(6, 40.0);
+        let p = Partition::strips(&topo, 4);
+        let mut next = vec![0; p.k()];
+        for node in topo.nodes() {
+            let s = p.shard_of(node);
+            assert_eq!(p.local_of(node), next[s], "{node}");
+            next[s] += 1;
+        }
+        assert_eq!(next, p.shard_sizes());
+    }
+
+    #[test]
     fn boundary_is_the_strip_edge() {
         let topo = Topology::grid(6, 40.0);
         let p = Partition::strips(&topo, 2);
@@ -240,15 +261,6 @@ mod tests {
             let col = node.0 % 6;
             assert!(col == 2 || col == 3, "node {node} in column {col}");
         }
-    }
-
-    #[test]
-    fn cross_links_depend_on_range() {
-        let topo = Topology::grid(6, 40.0);
-        let p = Partition::strips(&topo, 3);
-        assert!(p.has_cross_links(&topo, 40.0));
-        // Below the 40 m pitch no link exists at all, so none can cross.
-        assert!(!p.has_cross_links(&topo, 10.0));
     }
 
     #[test]
@@ -298,9 +310,9 @@ mod tests {
         // k = 1 (no cuts) and k = n (width 1, zero slack) both stay valid.
         let topo = Topology::grid(2, 40.0);
         let one = Partition::strips_avoiding(&topo, 1, NodeId(3));
-        assert_eq!(one.shard_sizes(), vec![4]);
+        assert_eq!(one.shard_sizes(), [4]);
         let all = Partition::strips_avoiding(&topo, 4, NodeId(3));
-        assert_eq!(all.shard_sizes(), vec![1, 1, 1, 1]);
+        assert_eq!(all.shard_sizes(), [1, 1, 1, 1]);
     }
 
     #[test]
@@ -308,14 +320,14 @@ mod tests {
         let topo = Topology::grid(2, 40.0);
         let p = Partition::strips(&topo, 64);
         assert_eq!(p.k(), 4);
-        assert_eq!(p.shard_sizes(), vec![1, 1, 1, 1]);
+        assert_eq!(p.shard_sizes(), [1, 1, 1, 1]);
     }
 
     #[test]
     fn uneven_split_spreads_remainder() {
         let topo = Topology::line(10, 40.0);
         let p = Partition::strips(&topo, 3);
-        let mut sizes = p.shard_sizes();
+        let mut sizes = p.shard_sizes().to_vec();
         sizes.sort();
         assert_eq!(sizes, vec![3, 3, 4]);
         // Contiguity along the line.

@@ -359,15 +359,18 @@ impl<E> Inbox<E> {
         self.stamp.store(true, Ordering::Release);
     }
 
-    /// Takes everything pending; lock-free (and allocation-free) when the
+    /// Swaps everything pending into the empty `spare`, leaving `spare`'s
+    /// buffer behind for the next `append`: the two buffers trade places,
+    /// so once both have grown neither side allocates. Lock-free when the
     /// stamp says there is nothing.
-    fn take(&self) -> Vec<(SimTime, E)> {
+    fn take_into(&self, spare: &mut Vec<(SimTime, E)>) {
+        debug_assert!(spare.is_empty(), "spare buffer still holds messages");
         if !self.stamp.load(Ordering::Acquire) {
-            return Vec::new();
+            return;
         }
         let mut msgs = lock(&self.msgs);
         self.stamp.store(false, Ordering::Release);
-        std::mem::take(&mut *msgs)
+        std::mem::swap(&mut *msgs, spare);
     }
 }
 
@@ -438,7 +441,8 @@ fn step_end(s_end: SimTime, width_ns: u64, horizon: SimTime) -> SimTime {
 /// is due and nothing was sent), the horizon is reached, or `MAX_STEPS`
 /// hits. Every party computes the continue decision from the same merged
 /// flags, so all of them leave after the same step. Returns the number of
-/// sub-windows executed.
+/// sub-windows executed. `spare` is the caller's buffer for taking
+/// inboxes ([`Inbox::take_into`]), kept across rounds.
 ///
 /// Safety of the follow-up steps: `width_ns` is the lookahead, so a
 /// message sent inside step `[s, s+W)` arrives `≥ s+W` — at or after the
@@ -450,6 +454,7 @@ fn step_end(s_end: SimTime, width_ns: u64, horizon: SimTime) -> SimTime {
 fn batch_party<S: PdesShard>(
     slots: &[Mutex<Slot<S>>],
     inboxes: &[Inbox<S::Ev>],
+    spare: &mut Vec<(SimTime, S::Ev)>,
     first: usize,
     stride: usize,
     end1: SimTime,
@@ -483,7 +488,8 @@ fn batch_party<S: PdesShard>(
             return (step + 1) as u64;
         }
         for (i, slot) in owned.iter_mut() {
-            for (t, ev) in inboxes[*i].take() {
+            inboxes[*i].take_into(spare);
+            for (t, ev) in spare.drain(..) {
                 slot.queue.insert_msg(t, ev);
             }
         }
@@ -602,6 +608,7 @@ where
                 let stop = &stop;
                 scope.spawn(move || {
                     let _guard = PoisonOnPanic(barrier);
+                    let mut spare = Vec::new();
                     loop {
                         barrier.wait();
                         if stop.load(Ordering::Acquire) {
@@ -613,6 +620,7 @@ where
                         batch_party(
                             slots,
                             inboxes,
+                            &mut spare,
                             party,
                             parties,
                             end1,
@@ -707,6 +715,7 @@ fn coordinate<S, C>(
     let k = slots.len();
     let mut next_sample = sample_every.map(|e| SimTime::ZERO + e);
     let mut depths = vec![0usize; k];
+    let mut spare = Vec::new();
     loop {
         // Route messages and collect deferred globals produced by the
         // previous round, then find the earliest pending work. Globals
@@ -714,9 +723,9 @@ fn coordinate<S, C>(
         // emitted mid-round clips the next round.
         let mut shard_min: Option<EvKey> = None;
         for i in 0..k {
-            let msgs = inboxes[i].take();
+            inboxes[i].take_into(&mut spare);
             let slot = &mut *lock(&slots[i]);
-            for (t, ev) in msgs {
+            for (t, ev) in spare.drain(..) {
                 slot.queue.insert_msg(t, ev);
             }
             for (t, g) in std::mem::take(&mut slot.globals_out) {
@@ -793,6 +802,7 @@ fn coordinate<S, C>(
                 batch_party(
                     slots,
                     inboxes,
+                    &mut spare,
                     0,
                     p.parties,
                     end_excl,
@@ -807,7 +817,17 @@ fn coordinate<S, C>(
                     },
                 )
             }
-            None => batch_party(slots, inboxes, 0, 1, end_excl, la_ns, horizon, |_, f| f),
+            None => batch_party(
+                slots,
+                inboxes,
+                &mut spare,
+                0,
+                1,
+                end_excl,
+                la_ns,
+                horizon,
+                |_, f| f,
+            ),
         };
         counters.windows += steps;
         counters.barriers += steps + 1;

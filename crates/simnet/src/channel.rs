@@ -14,11 +14,13 @@
 //!   shared read-only by every shard. Each node's neighbour list is
 //!   stored pre-bucketed by owning shard, so a transmission dispatches
 //!   one reception event per *shard* (not per neighbour) and the handler
-//!   iterates its bucket in place — no per-transmission allocation.
+//!   iterates its bucket in place — no per-transmission allocation. Each
+//!   entry carries the receiver's local index, so the handler reaches
+//!   the receiver's state without a lookup.
 //! * [`Channel`] — the mutable per-receiver state (carrier counts,
 //!   reception locks, audible powers, loss state and RNG streams). Every
-//!   entry belongs to exactly one node, so each shard owns its nodes'
-//!   slots and no state is shared between shards.
+//!   entry belongs to exactly one node, so each shard holds only its own
+//!   nodes' slots and no state is shared between shards.
 //!
 //! The loss *model* is configuration and is stored once, shared by every
 //! node; what diverges per node is the [`LossState`] (the Gilbert–Elliott
@@ -76,14 +78,36 @@ impl ClassPhys {
     }
 }
 
+/// A node as the shard owning it sees it: its global id and its index
+/// into that shard's dense per-node state (nodes, channel slots, timer
+/// lists), which is its rank by id among the shard's nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Local {
+    /// The node's global id.
+    pub id: NodeId,
+    ix: u32,
+}
+
+impl Local {
+    pub(crate) fn new(id: NodeId, ix: usize) -> Self {
+        Local { id, ix: ix as u32 }
+    }
+
+    /// The node's index into its owner's per-node state.
+    #[inline]
+    pub fn ix(self) -> usize {
+        self.ix as usize
+    }
+}
+
 /// Immutable per-class adjacency, bucketed by the owning shard of each
 /// neighbour. Shared (behind an `Arc`) by all shards. The default index
 /// holds no node, so reading any node of it panics.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborIndex {
     /// `buckets[node][shard]` = neighbours of `node` owned by `shard`,
-    /// ascending by id.
-    buckets: Vec<Vec<Vec<NodeId>>>,
+    /// ascending by id, each with its local index in `shard`.
+    buckets: Vec<Vec<Vec<Local>>>,
 }
 
 impl NeighborIndex {
@@ -99,7 +123,7 @@ impl NeighborIndex {
             .map(|near| {
                 let mut by_shard = vec![Vec::new(); k];
                 for m in near {
-                    by_shard[part.shard_of(m)].push(m);
+                    by_shard[part.shard_of(m)].push(Local::new(m, part.local_of(m)));
                 }
                 by_shard
             })
@@ -108,7 +132,7 @@ impl NeighborIndex {
     }
 
     /// The neighbours of `node` owned by `shard`, ascending.
-    pub fn of(&self, node: NodeId, shard: usize) -> &[NodeId] {
+    pub fn of(&self, node: NodeId, shard: usize) -> &[Local] {
         &self.buckets[node.index()][shard]
     }
 
@@ -121,6 +145,18 @@ impl NeighborIndex {
             .map(|(s, _)| s)
     }
 
+    /// `true` when some node has a neighbour on another shard than its
+    /// own under `part`, the partition the index was built with.
+    pub fn has_cross_links(&self, part: &Partition) -> bool {
+        self.buckets.iter().enumerate().any(|(i, by_shard)| {
+            let own = part.shard_of(NodeId(i as u32));
+            by_shard
+                .iter()
+                .enumerate()
+                .any(|(s, b)| s != own && !b.is_empty())
+        })
+    }
+
     /// Total neighbour count of `node` across all shards.
     pub fn degree(&self, node: NodeId) -> usize {
         self.buckets[node.index()].iter().map(Vec::len).sum()
@@ -128,8 +164,9 @@ impl NeighborIndex {
 }
 
 /// One shard's slice of a radio class's medium: per-receiver carrier
-/// counts, reception locks, audible powers and loss state. Indexed by
-/// global node id; a shard only ever touches the slots of nodes it owns.
+/// counts, reception locks, audible powers and loss state. Holds a slot
+/// for each node the shard owns and nothing else, indexed by the node's
+/// local index ([`Local::ix`]).
 #[derive(Debug, Clone)]
 pub struct Channel {
     /// Number of audible foreign transmissions per node.
@@ -151,63 +188,77 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// Builds the medium state for `n` nodes sharing the `loss` process,
-    /// with each node's RNG stream seeded from `seeds` (one seed per
-    /// node, drawn deterministically at build time).
-    pub fn new(n: usize, loss: &LossModel, seeds: &[u64]) -> Self {
-        assert_eq!(seeds.len(), n, "one loss seed per node");
+    /// An empty medium sharing the `loss` process, with room for `cap`
+    /// nodes; [`Channel::push`] adds each node's slot.
+    pub fn with_capacity(cap: usize, loss: &LossModel) -> Self {
         Channel {
-            carrier: vec![0; n],
-            rx_current: vec![None; n],
+            carrier: Vec::with_capacity(cap),
+            rx_current: Vec::with_capacity(cap),
             loss: loss.clone(),
-            loss_state: vec![LossState::default(); n],
-            rng: seeds.iter().map(|&s| Rng::new(s)).collect(),
-            audible: vec![Vec::new(); n],
+            loss_state: Vec::with_capacity(cap),
+            rng: Vec::with_capacity(cap),
+            audible: Vec::with_capacity(cap),
             collisions: 0,
         }
     }
 
-    /// `true` when at least one foreign transmission is audible at `node`.
-    pub fn carrier_busy(&self, node: NodeId) -> bool {
-        self.carrier[node.index()] > 0
+    /// Appends the next node's slot: a fresh one at build, a captured one
+    /// at restore.
+    pub(crate) fn push(&mut self, slot: ChannelSlot) {
+        self.carrier.push(slot.carrier);
+        self.rx_current.push(slot.rx_current);
+        self.loss_state.push(slot.loss);
+        self.rng.push(slot.rng);
+        self.audible.push(slot.audible);
     }
 
-    /// Number of foreign transmissions currently audible at `node`.
-    pub fn carrier_count(&self, node: NodeId) -> u32 {
-        self.carrier[node.index()]
+    /// Number of node slots.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.carrier.len()
     }
 
-    /// Registers that a transmission became audible at `node`. Returns
+    /// `true` when at least one foreign transmission is audible at `ix`.
+    pub fn carrier_busy(&self, ix: usize) -> bool {
+        self.carrier[ix] > 0
+    }
+
+    /// Number of foreign transmissions currently audible at `ix`.
+    pub fn carrier_count(&self, ix: usize) -> u32 {
+        self.carrier[ix]
+    }
+
+    /// Registers that a transmission became audible at `ix`. Returns
     /// `true` when this changed the carrier from idle to busy.
-    pub fn carrier_up(&mut self, node: NodeId) -> bool {
-        self.carrier[node.index()] += 1;
-        self.carrier[node.index()] == 1
+    pub fn carrier_up(&mut self, ix: usize) -> bool {
+        self.carrier[ix] += 1;
+        self.carrier[ix] == 1
     }
 
-    /// Registers that a transmission stopped being audible at `node`.
+    /// Registers that a transmission stopped being audible at `ix`.
     /// Returns `true` when this cleared the carrier to idle.
     ///
     /// # Panics
     ///
     /// Panics if the carrier count would go negative (accounting bug).
-    pub fn carrier_down(&mut self, node: NodeId) -> bool {
-        let c = &mut self.carrier[node.index()];
-        assert!(*c > 0, "carrier underflow at {node}");
+    pub fn carrier_down(&mut self, ix: usize) -> bool {
+        let c = &mut self.carrier[ix];
+        assert!(*c > 0, "carrier underflow at local slot {ix}");
         *c -= 1;
         *c == 0
     }
 
-    /// Records an audible frame's received power at `node` (mW). Only
+    /// Records an audible frame's received power at `ix` (mW). Only
     /// called under a received-power profile, paired with `carrier_up`.
-    pub fn audible_add(&mut self, node: NodeId, tx: TxId, mw: f64) {
-        self.audible[node.index()].push((tx, mw));
+    pub fn audible_add(&mut self, ix: usize, tx: TxId, mw: f64) {
+        self.audible[ix].push((tx, mw));
     }
 
-    /// Removes an audible frame at `node`. Returns `true` if it was
+    /// Removes an audible frame at `ix`. Returns `true` if it was
     /// present — `false` means the frame never reached audibility there
     /// and the caller must not touch the carrier count either.
-    pub fn audible_remove(&mut self, node: NodeId, tx: TxId) -> bool {
-        let list = &mut self.audible[node.index()];
+    pub fn audible_remove(&mut self, ix: usize, tx: TxId) -> bool {
+        let list = &mut self.audible[ix];
         match list.iter().position(|&(t, _)| t == tx) {
             Some(i) => {
                 list.remove(i);
@@ -217,35 +268,35 @@ impl Channel {
         }
     }
 
-    /// Received power (mW) of an audible frame at `node`, if present.
-    pub fn audible_power(&self, node: NodeId, tx: TxId) -> Option<f64> {
-        self.audible[node.index()]
+    /// Received power (mW) of an audible frame at `ix`, if present.
+    pub fn audible_power(&self, ix: usize, tx: TxId) -> Option<f64> {
+        self.audible[ix]
             .iter()
             .find(|&&(t, _)| t == tx)
             .map(|&(_, mw)| mw)
     }
 
-    /// Sum of audible powers at `node` excluding `except` (mW): the
+    /// Sum of audible powers at `ix` excluding `except` (mW): the
     /// co-channel interference a frame must be decoded against.
-    pub fn interference_mw(&self, node: NodeId, except: TxId) -> f64 {
-        self.audible[node.index()]
+    pub fn interference_mw(&self, ix: usize, except: TxId) -> f64 {
+        self.audible[ix]
             .iter()
             .filter(|&&(t, _)| t != except)
             .map(|&(_, mw)| mw)
             .sum()
     }
 
-    /// Locks `node`'s receiver onto frame `tx` (it was idle and the frame
+    /// Locks `ix`'s receiver onto frame `tx` (it was idle and the frame
     /// started cleanly).
-    pub fn lock_rx(&mut self, node: NodeId, tx: TxId) {
-        debug_assert!(self.rx_current[node.index()].is_none());
-        self.rx_current[node.index()] = Some((tx, false));
+    pub fn lock_rx(&mut self, ix: usize, tx: TxId) {
+        debug_assert!(self.rx_current[ix].is_none());
+        self.rx_current[ix] = Some((tx, false));
     }
 
-    /// Marks the frame `node` is locked onto as collided (if any);
-    /// returns `true` if a lock was poisoned.
-    pub fn poison_rx(&mut self, node: NodeId) -> bool {
-        if let Some((_, corrupted)) = &mut self.rx_current[node.index()] {
+    /// Marks the frame `ix` is locked onto as collided (if any); returns
+    /// `true` if a lock was poisoned.
+    pub fn poison_rx(&mut self, ix: usize) -> bool {
+        if let Some((_, corrupted)) = &mut self.rx_current[ix] {
             if !*corrupted {
                 *corrupted = true;
                 self.collisions += 1;
@@ -256,17 +307,17 @@ impl Channel {
         }
     }
 
-    /// The frame `node` is locked onto, if any.
-    pub fn locked_rx(&self, node: NodeId) -> Option<(TxId, bool)> {
-        self.rx_current[node.index()]
+    /// The frame `ix` is locked onto, if any.
+    pub fn locked_rx(&self, ix: usize) -> Option<(TxId, bool)> {
+        self.rx_current[ix]
     }
 
-    /// Releases `node`'s lock on `tx` (at that frame's end). Returns the
+    /// Releases `ix`'s lock on `tx` (at that frame's end). Returns the
     /// corruption flag, or `None` if the node was not locked onto `tx`.
-    pub fn unlock_rx(&mut self, node: NodeId, tx: TxId) -> Option<bool> {
-        match self.rx_current[node.index()] {
+    pub fn unlock_rx(&mut self, ix: usize, tx: TxId) -> Option<bool> {
+        match self.rx_current[ix] {
             Some((locked, corrupted)) if locked == tx => {
-                self.rx_current[node.index()] = None;
+                self.rx_current[ix] = None;
                 Some(corrupted)
             }
             _ => None,
@@ -274,10 +325,10 @@ impl Channel {
     }
 
     /// Evaluates the loss process for a frame that survived collisions at
-    /// `node`, advancing that node's own state and stream.
-    pub fn channel_loss(&mut self, node: NodeId) -> bool {
-        let i = node.index();
-        self.loss.is_lost(&mut self.loss_state[i], &mut self.rng[i])
+    /// `ix`, advancing that node's own state and stream.
+    pub fn channel_loss(&mut self, ix: usize) -> bool {
+        self.loss
+            .is_lost(&mut self.loss_state[ix], &mut self.rng[ix])
     }
 
     /// Total collisions observed at this shard's receivers.
@@ -290,8 +341,7 @@ impl Channel {
     // ------------------------------------------------------------------
 
     /// One node's slice of the medium state, for exact checkpointing.
-    pub(crate) fn slot(&self, node: NodeId) -> ChannelSlot {
-        let i = node.index();
+    pub(crate) fn slot(&self, i: usize) -> ChannelSlot {
         ChannelSlot {
             carrier: self.carrier[i],
             rx_current: self.rx_current[i],
@@ -299,17 +349,6 @@ impl Channel {
             rng: self.rng[i].clone(),
             audible: self.audible[i].clone(),
         }
-    }
-
-    /// Overwrites one node's slice of the medium state — the restore path
-    /// of a checkpoint.
-    pub(crate) fn set_slot(&mut self, node: NodeId, slot: ChannelSlot) {
-        let i = node.index();
-        self.carrier[i] = slot.carrier;
-        self.rx_current[i] = slot.rx_current;
-        self.loss_state[i] = slot.loss;
-        self.rng[i] = slot.rng;
-        self.audible[i] = slot.audible;
     }
 
     /// Overwrites the collision counter (restore path; the counter is a
@@ -342,15 +381,20 @@ pub struct ChannelSlot {
 }
 
 impl ChannelSlot {
-    /// An idle slot; its stream is a placeholder for a load to overwrite.
-    pub(crate) fn idle() -> Self {
+    /// An idle slot whose loss stream starts from `seed`.
+    pub(crate) fn seeded(seed: u64) -> Self {
         ChannelSlot {
             carrier: 0,
             rx_current: None,
             loss: LossState::default(),
-            rng: Rng::new(1),
+            rng: Rng::new(seed),
             audible: Vec::new(),
         }
+    }
+
+    /// An idle slot; its stream is a placeholder for a load to overwrite.
+    pub(crate) fn idle() -> Self {
+        Self::seeded(1)
     }
 }
 
@@ -381,8 +425,24 @@ impl Persist for ChannelSlot {
 mod tests {
     use super::*;
 
+    fn seeded(loss: &LossModel, seeds: &[u64]) -> Channel {
+        let mut c = Channel::with_capacity(seeds.len(), loss);
+        for &seed in seeds {
+            c.push(ChannelSlot::seeded(seed));
+        }
+        c
+    }
+
     fn channel() -> Channel {
-        Channel::new(3, &LossModel::Perfect, &[1, 2, 3])
+        seeded(&LossModel::Perfect, &[1, 2, 3])
+    }
+
+    /// The ids of a neighbour bucket, checking each entry's local index.
+    fn ids(part: &Partition, bucket: &[Local]) -> Vec<NodeId> {
+        for r in bucket {
+            assert_eq!(r.ix(), part.local_of(r.id), "{}", r.id);
+        }
+        bucket.iter().map(|r| r.id).collect()
     }
 
     /// A slot round-trips through its codec, and a crafted one with an
@@ -390,7 +450,7 @@ mod tests {
     #[test]
     fn slot_load_refuses_a_dead_stream_and_a_bad_power() {
         let mut c = channel();
-        let n = NodeId(1);
+        let n = 1;
         c.audible_add(n, TxId(5), 0.25);
         let slot = c.slot(n);
         let mut e = Enc::new();
@@ -420,7 +480,7 @@ mod tests {
     #[test]
     fn carrier_transitions() {
         let mut c = channel();
-        let n = NodeId(1);
+        let n = 1;
         assert!(!c.carrier_busy(n));
         assert!(c.carrier_up(n), "0 -> 1 reports busy edge");
         assert!(!c.carrier_up(n), "1 -> 2 is not an edge");
@@ -431,13 +491,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "carrier underflow")]
     fn carrier_underflow_panics() {
-        channel().carrier_down(NodeId(0));
+        channel().carrier_down(0);
     }
 
     #[test]
     fn rx_lock_poison_unlock() {
         let mut c = channel();
-        let n = NodeId(1);
+        let n = 1;
         let tx = TxId::new(NodeId(0), 7);
         c.lock_rx(n, tx);
         assert_eq!(c.locked_rx(n), Some((tx, false)));
@@ -451,22 +511,22 @@ mod tests {
     fn unlock_wrong_tx_is_none() {
         let mut c = channel();
         let (a, b) = (TxId::new(NodeId(0), 7), TxId::new(NodeId(0), 8));
-        c.lock_rx(NodeId(1), a);
-        assert_eq!(c.unlock_rx(NodeId(1), b), None);
-        assert_eq!(c.locked_rx(NodeId(1)), Some((a, false)));
+        c.lock_rx(1, a);
+        assert_eq!(c.unlock_rx(1, b), None);
+        assert_eq!(c.locked_rx(1), Some((a, false)));
     }
 
     #[test]
     fn poison_without_lock_is_false() {
         let mut c = channel();
-        assert!(!c.poison_rx(NodeId(0)));
+        assert!(!c.poison_rx(0));
         assert_eq!(c.collisions(), 0);
     }
 
     #[test]
     fn audible_powers_track_and_sum() {
         let mut c = channel();
-        let n = NodeId(2);
+        let n = 2;
         let (a, b) = (TxId::new(NodeId(0), 1), TxId::new(NodeId(1), 1));
         c.audible_add(n, a, 4.0);
         c.audible_add(n, b, 0.5);
@@ -485,12 +545,24 @@ mod tests {
         let part = Partition::strips(&topo, 2);
         let idx = NeighborIndex::new(&topo, 40.0, &part);
         // Node 1 hears 0 (shard 0) and 2 (shard 1).
-        assert_eq!(idx.of(NodeId(1), 0), &[NodeId(0)]);
-        assert_eq!(idx.of(NodeId(1), 1), &[NodeId(2)]);
+        assert_eq!(ids(&part, idx.of(NodeId(1), 0)), [NodeId(0)]);
+        assert_eq!(ids(&part, idx.of(NodeId(1), 1)), [NodeId(2)]);
         assert_eq!(idx.degree(NodeId(1)), 2);
         assert_eq!(idx.shards_hearing(NodeId(1)).collect::<Vec<_>>(), [0, 1]);
         // Node 0 only hears node 1, on its own shard.
         assert_eq!(idx.shards_hearing(NodeId(0)).collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
+    fn cross_links_depend_on_range() {
+        let topo = Topology::grid(6, 40.0);
+        let part = Partition::strips(&topo, 3);
+        assert!(NeighborIndex::new(&topo, 40.0, &part).has_cross_links(&part));
+        // Below the 40 m pitch no link exists at all, so none can cross.
+        assert!(!NeighborIndex::new(&topo, 10.0, &part).has_cross_links(&part));
+        // One shard has no other shard to reach.
+        let one = Partition::single(topo.len());
+        assert!(!NeighborIndex::new(&topo, 40.0, &one).has_cross_links(&one));
     }
 
     #[test]
@@ -499,18 +571,18 @@ mod tests {
         let part = Partition::single(topo.len());
         let idx = NeighborIndex::new(&topo, 40.0, &part);
         for n in topo.nodes() {
-            assert_eq!(idx.of(n, 0), topo.neighbors_within(n, 40.0).as_slice());
+            assert_eq!(ids(&part, idx.of(n, 0)), topo.neighbors_within(n, 40.0));
         }
     }
 
     #[test]
     fn loss_streams_are_node_local() {
-        let mut c = Channel::new(2, &LossModel::bernoulli(0.5), &[11, 22]);
-        let a: Vec<bool> = (0..16).map(|_| c.channel_loss(NodeId(0))).collect();
+        let mut c = seeded(&LossModel::bernoulli(0.5), &[11, 22]);
+        let a: Vec<bool> = (0..16).map(|_| c.channel_loss(0)).collect();
         // Node 1's draws are unaffected by how often node 0 drew.
-        let b: Vec<bool> = (0..16).map(|_| c.channel_loss(NodeId(1))).collect();
-        let mut fresh = Channel::new(2, &LossModel::bernoulli(0.5), &[11, 22]);
-        let b2: Vec<bool> = (0..16).map(|_| fresh.channel_loss(NodeId(1))).collect();
+        let b: Vec<bool> = (0..16).map(|_| c.channel_loss(1)).collect();
+        let mut fresh = seeded(&LossModel::bernoulli(0.5), &[11, 22]);
+        let b2: Vec<bool> = (0..16).map(|_| fresh.channel_loss(1)).collect();
         assert_eq!(b, b2, "node 1 stream independent of node 0 activity");
         assert_ne!(a, b, "distinct seeds, distinct streams");
     }

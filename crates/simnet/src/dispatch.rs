@@ -1,10 +1,12 @@
 //! Binding the sans-IO protocol machines to the shard: MAC actions, BCP
 //! sender/receiver actions, payload bookkeeping and the high-radio power
-//! reference counting. Everything here touches exactly one owned node
-//! (plus the shard-local payload table, and the timer table through
+//! reference counting. Everything here touches exactly one owned node,
+//! named by the [`Local`] handle its event's handler resolved (plus the
+//! shard-local payload table, and the timer table through
 //! [`ShardState::arm`] and [`ShardState::disarm`]); cross-node effects
 //! only ever leave through [`ShardState::start_tx`].
 
+use crate::channel::Local;
 use crate::events::{Class, Ev, Payload};
 use crate::fate::{fate_key, Fate};
 use crate::scenario::HighRoute;
@@ -30,21 +32,19 @@ impl ShardState {
     pub(crate) fn mac_event(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        node: NodeId,
+        at: Local,
         class: Class,
         ev: MacEvent,
         payload: Option<&Payload>,
     ) {
-        let n = self.node(node);
+        let n = &mut self.nodes[at.ix()];
         if !n.has_class(class) || !n.is_alive() {
             return;
         }
         let mut actions = self.mac_pool.pop().unwrap_or_default();
-        self.node_mut(node)
-            .mac_mut(class)
-            .handle(ctx.now(), ev, &mut actions);
+        n.mac_mut(class).handle(ctx.now(), ev, &mut actions);
         for a in actions.drain(..) {
-            self.mac_action(ctx, node, class, a, payload);
+            self.mac_action(ctx, at, class, a, payload);
         }
         self.mac_pool.push(actions);
     }
@@ -52,26 +52,29 @@ impl ShardState {
     fn mac_action(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        node: NodeId,
+        at: Local,
         class: Class,
         a: MacAction,
         payload: Option<&Payload>,
     ) {
+        let node = at.id;
         match a {
-            MacAction::StartTx(frame) => self.start_tx(ctx, node, class, frame),
+            MacAction::StartTx(frame) => self.start_tx(ctx, at, class, frame),
             MacAction::SetTimer { kind, delay } => {
-                self.arm(ctx, delay, Ev::MacTimer { node, class, kind })
+                self.arm(ctx, at, delay, Ev::MacTimer { node, class, kind })
             }
-            MacAction::CancelTimer { kind } => self.disarm(ctx, Ev::MacTimer { node, class, kind }),
-            MacAction::Deliver(frame) => self.deliver(ctx, node, class, frame, payload),
-            MacAction::TxOutcome { ok, tag, .. } => self.tx_outcome(ctx, node, class, ok, tag),
+            MacAction::CancelTimer { kind } => {
+                self.disarm(ctx, at, Ev::MacTimer { node, class, kind })
+            }
+            MacAction::Deliver(frame) => self.deliver(ctx, at, class, frame, payload),
+            MacAction::TxOutcome { ok, tag, .. } => self.tx_outcome(ctx, at, class, ok, tag),
         }
     }
 
     fn deliver(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        node: NodeId,
+        at: Local,
         class: Class,
         frame: MacFrame,
         payload: Option<&Payload>,
@@ -81,30 +84,31 @@ impl ShardState {
             return;
         };
         let now = ctx.now();
+        let node = at.id;
         match payload {
             Payload::SensorData(pkt) => {
                 let pkt = *pkt;
                 if node == pkt.dest {
-                    if !self.deliver_copy(ctx, node, &pkt, now) {
+                    if !self.deliver_copy(ctx, &pkt, now) {
                         return;
                     }
                     if self.is_broadcast_flood(&pkt) {
-                        self.broadcast_relay(ctx, node, &pkt);
+                        self.broadcast_relay(ctx, at, &pkt);
                     }
                 } else {
-                    self.forward_data(ctx, node, pkt, class);
+                    self.forward_data(ctx, at, pkt, class);
                 }
             }
             Payload::Control { msg, dst } => {
                 let (msg, dst) = (*msg, *dst);
                 if dst == node {
-                    self.control_arrived(ctx, node, msg);
+                    self.control_arrived(ctx, at, msg);
                 } else {
                     // Relay toward the final destination over the low radio.
                     if let Some(next) = self.shared.low_routes.next_hop(node, dst) {
                         self.enqueue_frame(
                             ctx,
-                            node,
+                            at,
                             Class::Low,
                             next,
                             HandshakeMsg::WIRE_BYTES,
@@ -125,22 +129,22 @@ impl ShardState {
                 // of once per hearing shard in the fan-out.
                 let packets = Vec::clone(packets);
                 let mut actions = Vec::new();
-                if let Some(rx) = self.node_mut(node).bcp_rx.as_mut() {
+                if let Some(rx) = self.nodes[at.ix()].bcp_rx.as_mut() {
                     rx.on_burst_frame(now, burst, index, count, packets, &mut actions);
                 }
-                self.receiver_actions(ctx, node, actions);
+                self.receiver_actions(ctx, at, actions);
             }
         }
     }
 
-    fn control_arrived(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId, msg: HandshakeMsg) {
+    fn control_arrived(&mut self, ctx: &mut ShardCtx<'_>, at: Local, msg: HandshakeMsg) {
         let now = ctx.now();
         match msg {
             HandshakeMsg::WakeUp { burst, burst_bytes } => {
-                let free = if node == self.scen.sink {
+                let free = if at.id == self.scen.sink {
                     usize::MAX / 4
                 } else {
-                    self.node(node)
+                    self.nodes[at.ix()]
                         .bcp_tx
                         .as_ref()
                         .map(|t| t.free_bytes())
@@ -148,20 +152,20 @@ impl ShardState {
                 };
                 let from = burst.initiator();
                 let mut actions = Vec::new();
-                if let Some(rx) = self.node_mut(node).bcp_rx.as_mut() {
+                if let Some(rx) = self.nodes[at.ix()].bcp_rx.as_mut() {
                     rx.on_wakeup(now, from, burst, burst_bytes, free, &mut actions);
                 }
-                self.receiver_actions(ctx, node, actions);
+                self.receiver_actions(ctx, at, actions);
             }
             HandshakeMsg::WakeUpAck {
                 burst,
                 granted_bytes,
             } => {
                 let mut actions = Vec::new();
-                if let Some(tx) = self.node_mut(node).bcp_tx.as_mut() {
+                if let Some(tx) = self.nodes[at.ix()].bcp_tx.as_mut() {
                     tx.on_wakeup_ack(now, burst, granted_bytes, &mut actions);
                 }
-                self.sender_actions(ctx, node, actions);
+                self.sender_actions(ctx, at, actions);
             }
         }
     }
@@ -173,7 +177,6 @@ impl ShardState {
     fn deliver_copy(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        _node: NodeId,
         pkt: &bcp_core::msg::AppPacket,
         now: bcp_sim::time::SimTime,
     ) -> bool {
@@ -199,14 +202,8 @@ impl ShardState {
         true
     }
 
-    fn tx_outcome(
-        &mut self,
-        ctx: &mut ShardCtx<'_>,
-        node: NodeId,
-        class: Class,
-        ok: bool,
-        tag: u64,
-    ) {
+    fn tx_outcome(&mut self, ctx: &mut ShardCtx<'_>, at: Local, class: Class, ok: bool, tag: u64) {
+        let node = at.id;
         let Some(payload) = self.payloads.remove(&tag) else {
             return;
         };
@@ -232,10 +229,10 @@ impl ShardState {
             }
             Payload::Burst { burst, .. } => {
                 let mut actions = Vec::new();
-                if let Some(tx) = self.node_mut(node).bcp_tx.as_mut() {
+                if let Some(tx) = self.nodes[at.ix()].bcp_tx.as_mut() {
                     tx.on_frame_outcome(ctx.now(), burst, ok, &mut actions);
                 }
-                self.sender_actions(ctx, node, actions);
+                self.sender_actions(ctx, at, actions);
             }
         }
     }
@@ -243,7 +240,7 @@ impl ShardState {
     pub(crate) fn enqueue_frame(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        node: NodeId,
+        at: Local,
         class: Class,
         to: NodeId,
         bytes: usize,
@@ -253,13 +250,14 @@ impl ShardState {
         // (doze resume is instant; the MAC would otherwise StartTx on a
         // sleeping radio). In the vanishing case where the resume's power
         // sync kills the node, the packet dies with it.
-        if !self.lpl_wake_for_tx(ctx, node, class) {
+        if !self.lpl_wake_for_tx(ctx, at, class) {
             return;
         }
+        let node = at.id;
         // Tags are node-scoped (like packet and transmission ids) so the
         // payload table keys are identical for every shard count.
         let tag = {
-            let n = self.node_mut(node);
+            let n = &mut self.nodes[at.ix()];
             let tag = crate::events::node_scoped_id(node, n.tag_seq);
             n.tag_seq += 1;
             tag
@@ -272,11 +270,10 @@ impl ShardState {
             bytes: bytes as u32,
         });
         let dst = self.mac_addr_of(to, class);
-        let frame = self
-            .node_mut(node)
+        let frame = self.nodes[at.ix()]
             .mac_mut(class)
             .make_data(dst, bytes, tag);
-        self.mac_event(ctx, node, class, MacEvent::Enqueue(frame), None);
+        self.mac_event(ctx, at, class, MacEvent::Enqueue(frame), None);
     }
 
     // ------------------------------------------------------------------
@@ -286,9 +283,10 @@ impl ShardState {
     pub(crate) fn sender_actions(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        node: NodeId,
+        at: Local,
         actions: Vec<SenderAction>,
     ) {
+        let node = at.id;
         for a in actions {
             match a {
                 SenderAction::SendWakeUp {
@@ -297,17 +295,17 @@ impl ShardState {
                     burst_bytes,
                 } => {
                     let msg = HandshakeMsg::WakeUp { burst, burst_bytes };
-                    self.send_control(ctx, node, to, msg);
+                    self.send_control(ctx, at, to, msg);
                 }
                 SenderAction::ArmAckTimer { burst } => {
                     let delay = self.scen.bcp.wakeup_ack_timeout;
-                    self.arm(ctx, delay, Ev::BcpAckTimer { node, burst });
+                    self.arm(ctx, at, delay, Ev::BcpAckTimer { node, burst });
                 }
                 SenderAction::CancelAckTimer { burst } => {
-                    self.disarm(ctx, Ev::BcpAckTimer { node, burst });
+                    self.disarm(ctx, at, Ev::BcpAckTimer { node, burst });
                 }
                 SenderAction::WakeHighRadio { burst } => {
-                    self.acquire_high(ctx, node, Some(burst));
+                    self.acquire_high(ctx, at, Some(burst));
                 }
                 SenderAction::SendBurstFrame {
                     to,
@@ -319,7 +317,7 @@ impl ShardState {
                     let bytes = bcp_core::frag::total_bytes(&packets);
                     self.enqueue_frame(
                         ctx,
-                        node,
+                        at,
                         Class::High,
                         to,
                         bytes,
@@ -335,10 +333,10 @@ impl ShardState {
                     // Delay-bound fallback: these packets travel hop-by-hop
                     // over the low radio from here on.
                     for pkt in packets {
-                        self.forward_data(ctx, node, pkt, Class::Low);
+                        self.forward_data(ctx, at, pkt, Class::Low);
                     }
                 }
-                SenderAction::ReleaseHighRadio { .. } => self.release_high(ctx, node),
+                SenderAction::ReleaseHighRadio { .. } => self.release_high(ctx, at),
                 SenderAction::PacketsDropped { packets, reason } => {
                     let (fate, tr) = match reason {
                         DropReason::BufferOverflow => (Fate::LostBuffer, TraceDrop::BufferOverflow),
@@ -362,12 +360,13 @@ impl ShardState {
     pub(crate) fn receiver_actions(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        node: NodeId,
+        at: Local,
         actions: Vec<ReceiverAction>,
     ) {
+        let node = at.id;
         for a in actions {
             match a {
-                ReceiverAction::WakeHighRadio { .. } => self.acquire_high(ctx, node, None),
+                ReceiverAction::WakeHighRadio { .. } => self.acquire_high(ctx, at, None),
                 ReceiverAction::SendWakeUpAck {
                     to,
                     burst,
@@ -377,28 +376,28 @@ impl ShardState {
                         burst,
                         granted_bytes,
                     };
-                    self.send_control(ctx, node, to, msg);
+                    self.send_control(ctx, at, to, msg);
                 }
                 ReceiverAction::ArmDataTimer { burst } => {
                     let delay = self.scen.bcp.receiver_data_timeout;
-                    self.arm(ctx, delay, Ev::BcpDataTimer { node, burst });
+                    self.arm(ctx, at, delay, Ev::BcpDataTimer { node, burst });
                 }
                 ReceiverAction::CancelDataTimer { burst } => {
-                    self.disarm(ctx, Ev::BcpDataTimer { node, burst });
+                    self.disarm(ctx, at, Ev::BcpDataTimer { node, burst });
                 }
-                ReceiverAction::ReleaseHighRadio { .. } => self.release_high(ctx, node),
+                ReceiverAction::ReleaseHighRadio { .. } => self.release_high(ctx, at),
                 ReceiverAction::DeliverPackets { from: _, packets } => {
                     let now = ctx.now();
                     for pkt in packets {
                         if pkt.dest == node {
-                            if !self.deliver_copy(ctx, node, &pkt, now) {
+                            if !self.deliver_copy(ctx, &pkt, now) {
                                 continue;
                             }
                             if self.is_broadcast_flood(&pkt) {
-                                self.broadcast_relay(ctx, node, &pkt);
+                                self.broadcast_relay(ctx, at, &pkt);
                             }
                         } else {
-                            self.bcp_data(ctx, node, pkt);
+                            self.bcp_data(ctx, at, pkt);
                         }
                     }
                 }
@@ -406,17 +405,11 @@ impl ShardState {
         }
     }
 
-    fn send_control(
-        &mut self,
-        ctx: &mut ShardCtx<'_>,
-        node: NodeId,
-        dst: NodeId,
-        msg: HandshakeMsg,
-    ) {
-        if let Some(next) = self.shared.low_routes.next_hop(node, dst) {
+    fn send_control(&mut self, ctx: &mut ShardCtx<'_>, at: Local, dst: NodeId, msg: HandshakeMsg) {
+        if let Some(next) = self.shared.low_routes.next_hop(at.id, dst) {
             self.enqueue_frame(
                 ctx,
-                node,
+                at,
                 Class::Low,
                 next,
                 HandshakeMsg::WIRE_BYTES,
@@ -429,20 +422,21 @@ impl ShardState {
     // High-radio power management
     // ------------------------------------------------------------------
 
-    fn acquire_high(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId, ready_burst: Option<BurstId>) {
+    fn acquire_high(&mut self, ctx: &mut ShardCtx<'_>, at: Local, ready_burst: Option<BurstId>) {
         let now = ctx.now();
-        self.disarm(ctx, Ev::HighIdleOff { node });
+        let (node, ix) = (at.id, at.ix());
+        self.disarm(ctx, at, Ev::HighIdleOff { node });
         let state = {
-            let n = self.node_mut(node);
+            let n = &mut self.nodes[ix];
             n.high_refs += 1;
             n.radio_mut(Class::High).state()
         };
         match state {
             RadioState::Off => {
                 self.metrics.radio_wakeups += 1;
-                let d = self.node_mut(node).radio_mut(Class::High).begin_wakeup(now);
+                let d = self.nodes[ix].radio_mut(Class::High).begin_wakeup(now);
                 // The wake-up pulse is a lump charge: drain it now.
-                self.power_touch(ctx, node);
+                self.power_touch(ctx, at);
                 ctx.after(d, Ev::RadioWakeDone { node });
                 let key = ctx.current_key();
                 self.trace_with(key, || TraceEvent::RadioState {
@@ -451,30 +445,31 @@ impl ShardState {
                     state: TraceRadioState::Waking,
                 });
                 if let Some(b) = ready_burst {
-                    self.node_mut(node).wake_pending.push(b);
+                    self.nodes[ix].wake_pending.push(b);
                 }
             }
             RadioState::WakingUp => {
                 if let Some(b) = ready_burst {
-                    self.node_mut(node).wake_pending.push(b);
+                    self.nodes[ix].wake_pending.push(b);
                 }
             }
             _ => {
                 // Already on: a sender session can proceed immediately.
                 if let Some(b) = ready_burst {
                     let mut actions = Vec::new();
-                    if let Some(tx) = self.node_mut(node).bcp_tx.as_mut() {
+                    if let Some(tx) = self.nodes[ix].bcp_tx.as_mut() {
                         tx.on_high_radio_ready(now, b, &mut actions);
                     }
-                    self.sender_actions(ctx, node, actions);
+                    self.sender_actions(ctx, at, actions);
                 }
             }
         }
     }
 
-    fn release_high(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
+    fn release_high(&mut self, ctx: &mut ShardCtx<'_>, at: Local) {
+        let node = at.id;
         let refs = {
-            let n = self.node_mut(node);
+            let n = &mut self.nodes[at.ix()];
             assert!(n.high_refs > 0, "{node}: release without acquire");
             n.high_refs -= 1;
             n.high_refs
@@ -493,17 +488,16 @@ impl ShardState {
                     delay = listen;
                 }
                 let until = ctx.now() + listen;
-                self.node_mut(node).listen_until = until;
+                self.nodes[at.ix()].listen_until = until;
             }
-            self.arm(ctx, delay, Ev::HighIdleOff { node });
+            self.arm(ctx, at, delay, Ev::HighIdleOff { node });
         }
     }
 
-    pub(crate) fn radio_wake_done(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
+    pub(crate) fn radio_wake_done(&mut self, ctx: &mut ShardCtx<'_>, at: Local) {
         let now = ctx.now();
-        self.node_mut(node)
-            .radio_mut(Class::High)
-            .complete_wakeup(now);
+        let (node, ix) = (at.id, at.ix());
+        self.nodes[ix].radio_mut(Class::High).complete_wakeup(now);
         let key = ctx.current_key();
         self.trace_with(key, || TraceEvent::RadioState {
             node: node.0,
@@ -512,8 +506,8 @@ impl ShardState {
         });
         // The high radio now idles expensively: re-project depletion (this
         // can kill the node on the spot if the battery is that close).
-        self.power_touch(ctx, node);
-        if !self.node(node).is_alive() {
+        self.power_touch(ctx, at);
+        if !self.alive(at) {
             return;
         }
         // Resynchronize the MAC's carrier view with the channel: the MAC
@@ -523,22 +517,23 @@ impl ShardState {
         // happens to clear it — with the radio burning idle power all
         // along. `on_carrier` is idempotent, so asserting either edge is
         // safe.
-        let busy = self.chans[Class::High.index()].carrier_busy(node);
-        self.mac_event(ctx, node, Class::High, MacEvent::Carrier(busy), None);
-        let pending = core::mem::take(&mut self.node_mut(node).wake_pending);
+        let busy = self.chans[Class::High.index()].carrier_busy(ix);
+        self.mac_event(ctx, at, Class::High, MacEvent::Carrier(busy), None);
+        let pending = core::mem::take(&mut self.nodes[ix].wake_pending);
         for burst in pending {
             let mut actions = Vec::new();
-            if let Some(tx) = self.node_mut(node).bcp_tx.as_mut() {
+            if let Some(tx) = self.nodes[ix].bcp_tx.as_mut() {
                 tx.on_high_radio_ready(now, burst, &mut actions);
             }
-            self.sender_actions(ctx, node, actions);
+            self.sender_actions(ctx, at, actions);
         }
     }
 
-    pub(crate) fn high_idle_off(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
+    pub(crate) fn high_idle_off(&mut self, ctx: &mut ShardCtx<'_>, at: Local) {
         let now = ctx.now();
+        let node = at.id;
         let turned_off = {
-            let n = self.node_mut(node);
+            let n = &mut self.nodes[at.ix()];
             if n.high_refs > 0 {
                 return; // re-acquired meanwhile
             }
@@ -559,7 +554,7 @@ impl ShardState {
                 _ => {
                     // Busy (rx/tx/waking/ack owed): try again shortly.
                     let delay = self.scen.off_linger;
-                    self.arm(ctx, delay, Ev::HighIdleOff { node });
+                    self.arm(ctx, at, delay, Ev::HighIdleOff { node });
                     false
                 }
             }
@@ -571,7 +566,7 @@ impl ShardState {
                 class: TraceClass::High,
                 state: TraceRadioState::Off,
             });
-            self.power_touch(ctx, node);
+            self.power_touch(ctx, at);
         }
     }
 
@@ -596,21 +591,22 @@ impl ShardState {
     /// preamble or schedule the doze that ends this sample. Always
     /// re-arms the next sample — the chain is strictly node-local, so it
     /// never constrains the conservative lookahead.
-    pub(crate) fn wake_sample(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
+    pub(crate) fn wake_sample(&mut self, ctx: &mut ShardCtx<'_>, at: Local) {
         let Some((interval, sample)) = self.lpl() else {
             return;
         };
+        let node = at.id;
         // Re-arm first: if the resume's power sync kills the node below,
         // the kill cancels this timer along with every other one.
-        self.arm(ctx, interval, Ev::WakeSample { node });
-        match self.node(node).low_radio.state() {
+        self.arm(ctx, at, interval, Ev::WakeSample { node });
+        match self.nodes[at.ix()].low_radio.state() {
             RadioState::Sleeping => {
-                if !self.lpl_resume(ctx, node) {
+                if !self.lpl_resume(ctx, at) {
                     return; // the wake's power sync killed the node
                 }
                 // One carrier read serves both the trace and the doze
                 // decision (`carrier_busy` is a pure query).
-                let busy = self.chans[Class::Low.index()].carrier_busy(node);
+                let busy = self.chans[Class::Low.index()].carrier_busy(at.ix());
                 let key = ctx.current_key();
                 self.trace_with(key, || TraceEvent::LplSample {
                     node: node.0,
@@ -639,42 +635,43 @@ impl ShardState {
     /// view (edges during doze fell on deaf ears — same fix as the high
     /// radio's wake-up path), and try to latch onto a frame still in its
     /// wake-up preamble. Returns `false` when the node died.
-    fn lpl_resume(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) -> bool {
+    fn lpl_resume(&mut self, ctx: &mut ShardCtx<'_>, at: Local) -> bool {
         let now = ctx.now();
-        self.node_mut(node).low_radio.resume(now);
-        self.power_touch(ctx, node);
-        if !self.node(node).is_alive() {
+        self.nodes[at.ix()].low_radio.resume(now);
+        self.power_touch(ctx, at);
+        if !self.alive(at) {
             return false;
         }
-        let busy = self.chans[Class::Low.index()].carrier_busy(node);
-        self.mac_event(ctx, node, Class::Low, MacEvent::Carrier(busy), None);
+        let busy = self.chans[Class::Low.index()].carrier_busy(at.ix());
+        self.mac_event(ctx, at, Class::Low, MacEvent::Carrier(busy), None);
         if busy {
-            self.lpl_lock_preamble(ctx, node);
+            self.lpl_lock_preamble(ctx, at);
         }
         true
     }
 
     /// End of a channel sample: doze again, unless the radio is busy,
     /// the MAC owes work, or a foreign transmission is audible.
-    pub(crate) fn lpl_sleep(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
+    pub(crate) fn lpl_sleep(&mut self, ctx: &mut ShardCtx<'_>, at: Local) {
         if self.scen.low_sleep.is_always_on() {
             return;
         }
-        let n = self.node(node);
+        let ix = at.ix();
+        let n = &self.nodes[ix];
         if n.low_radio.state() != RadioState::Idle
             || !n.low_mac.is_quiescent()
-            || self.chans[Class::Low.index()].carrier_busy(node)
+            || self.chans[Class::Low.index()].carrier_busy(ix)
         {
             return; // stay up; the next wake cycle retries
         }
-        self.node_mut(node).low_radio.sleep(ctx.now());
+        self.nodes[ix].low_radio.sleep(ctx.now());
         let key = ctx.current_key();
         self.trace_with(key, || TraceEvent::RadioState {
-            node: node.0,
+            node: at.id.0,
             class: TraceClass::Low,
             state: TraceRadioState::Dozing,
         });
-        self.power_touch(ctx, node);
+        self.power_touch(ctx, at);
     }
 
     /// A just-woken (idle, unlocked) LPL receiver tries to latch onto the
@@ -683,18 +680,19 @@ impl ShardState {
     /// stretched, so they are absent from the audible table), and its
     /// body has not started yet — the wake-up preamble exists precisely
     /// so samples land inside it.
-    fn lpl_lock_preamble(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
+    fn lpl_lock_preamble(&mut self, ctx: &mut ShardCtx<'_>, at: Local) {
         let now = ctx.now();
         let ci = Class::Low.index();
-        if self.chans[ci].locked_rx(node).is_some()
-            || self.node(node).low_radio.state() != RadioState::Idle
+        let ix = at.ix();
+        if self.chans[ci].locked_rx(ix).is_some()
+            || self.nodes[ix].low_radio.state() != RadioState::Idle
             // The count covers untracked transmissions too (an ACK
             // overlapping this preamble): any overlap means garbage.
-            || self.chans[ci].carrier_count(node) != 1
+            || self.chans[ci].carrier_count(ix) != 1
         {
             return;
         }
-        let Some(audible) = self.lpl_audible.get(&node.0) else {
+        let Some(audible) = self.lpl_audible.get(&at.id.0) else {
             return;
         };
         let &[(tx, body_start)] = audible.as_slice() else {
@@ -708,18 +706,18 @@ impl ShardState {
             // a shadowed link can be audible yet permanently too weak).
             if let Some(p) = &self.phys[ci] {
                 let decodable = self.chans[ci]
-                    .audible_power(node, tx)
-                    .is_some_and(|mw| p.decodes(mw, self.chans[ci].interference_mw(node, tx)));
+                    .audible_power(ix, tx)
+                    .is_some_and(|mw| p.decodes(mw, self.chans[ci].interference_mw(ix, tx)));
                 if !decodable {
                     return;
                 }
             }
-            self.chans[ci].lock_rx(node, tx);
-            self.node_mut(node).low_radio.start_rx(now);
-            self.power_touch(ctx, node);
+            self.chans[ci].lock_rx(ix, tx);
+            self.nodes[ix].low_radio.start_rx(now);
+            self.power_touch(ctx, at);
             let key = ctx.current_key();
             self.trace_with(key, || TraceEvent::LplLock {
-                node: node.0,
+                node: at.id.0,
                 from: tx.sender().0,
             });
         }
@@ -728,13 +726,13 @@ impl ShardState {
     /// Wakes a dozing low radio so a frame can be queued on it. Returns
     /// `false` when the node died during the wake's power sync (callers
     /// must then drop the frame: the node is a corpse).
-    fn lpl_wake_for_tx(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId, class: Class) -> bool {
+    fn lpl_wake_for_tx(&mut self, ctx: &mut ShardCtx<'_>, at: Local, class: Class) -> bool {
         if class != Class::Low
             || self.scen.low_sleep.is_always_on()
-            || self.node(node).low_radio.state() != RadioState::Sleeping
+            || self.nodes[at.ix()].low_radio.state() != RadioState::Sleeping
         {
             return true;
         }
-        self.lpl_resume(ctx, node)
+        self.lpl_resume(ctx, at)
     }
 }

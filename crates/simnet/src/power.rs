@@ -11,9 +11,9 @@
 //! one link latency after the battery empties, identically for every
 //! shard count.
 
+use crate::channel::Local;
 use crate::events::{Ev, GlobalEv};
 use crate::shard::{ShardCtx, ShardState};
-use bcp_net::addr::NodeId;
 use bcp_power::BatteryModel;
 use bcp_sim::trace::TraceEvent;
 
@@ -25,17 +25,18 @@ impl ShardState {
     /// Radio draw is piecewise constant between events, so the projection
     /// is exact: the node dies *at* the scheduled `PowerCheck`, not within
     /// some polling window, and death times are seed-reproducible.
-    pub(crate) fn power_touch(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
+    pub(crate) fn power_touch(&mut self, ctx: &mut ShardCtx<'_>, at: Local) {
         let now = ctx.now();
+        let (node, ix) = (at.id, at.ix());
         let (metered, draw) = {
-            let n = self.node(node);
+            let n = &self.nodes[ix];
             if n.supply.is_none() || !n.is_alive() {
                 return;
             }
             (n.metered_total(now), n.current_draw())
         };
         let (depleted, remaining_j) = {
-            let supply = self.node_mut(node).supply.as_mut().expect("checked above");
+            let supply = self.nodes[ix].supply.as_mut().expect("checked above");
             supply.sync_to(metered);
             (
                 supply.is_depleted_at(draw),
@@ -48,23 +49,24 @@ impl ShardState {
             remaining_j,
         });
         if depleted {
-            self.kill_node(ctx, node);
+            self.kill_node(ctx, at);
             return;
         }
-        let supply = self.node(node).supply.as_ref().expect("checked above");
+        let supply = self.nodes[ix].supply.as_ref().expect("checked above");
         match supply.time_to_depletion(draw) {
-            Some(d) => self.arm(ctx, d, Ev::PowerCheck { node }),
-            None => self.disarm(ctx, Ev::PowerCheck { node }),
+            Some(d) => self.arm(ctx, at, d, Ev::PowerCheck { node }),
+            None => self.disarm(ctx, at, Ev::PowerCheck { node }),
         }
     }
 
     /// The battery emptied: cut power, silence the corpse, and let the
     /// survivors know — one link latency later — via
     /// [`GlobalEv::NodeDied`].
-    fn kill_node(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
+    fn kill_node(&mut self, ctx: &mut ShardCtx<'_>, at: Local) {
         let now = ctx.now();
+        let node = at.id;
         {
-            let n = self.node_mut(node);
+            let n = &mut self.nodes[at.ix()];
             debug_assert!(n.is_alive(), "{node} died twice");
             // Close the meters at the instant of death, then cut power so
             // the ledgers freeze (a dead node's ledger stops accumulating).
@@ -83,7 +85,7 @@ impl ShardState {
         // Stale events are alive-guarded anyway; cancelling keeps the
         // queue small. The LPL wake-sample chain goes with the rest (its
         // doze draw is gone too: force_off already cut the radio).
-        for (_, id) in std::mem::take(&mut self.timers[node.index()]) {
+        for (_, id) in std::mem::take(&mut self.timers[at.ix()]) {
             ctx.cancel(id);
         }
         self.lpl_audible.remove(&node.0);

@@ -219,7 +219,7 @@ impl SeriesScan {
         self.gen_b += s.metrics.generated_bits;
         self.del_p += s.metrics.delivered_packets;
         self.del_b += s.metrics.delivered_bits;
-        for node in s.owned_nodes() {
+        for node in &s.nodes {
             let i = node.id.index();
             self.alive[i] = node.is_alive();
             self.per_node[i] = node_energy_split(self.model, node, at);
@@ -401,7 +401,7 @@ impl Control {
         let mut residual = vec![f64::INFINITY; n];
         let mut alive = vec![true; n];
         shards.for_each(|_, s| {
-            for node in s.owned_nodes() {
+            for node in &s.nodes {
                 let i = node.id.index();
                 residual[i] = match &node.supply {
                     Some(sup) => sup.battery().remaining().as_joules(),
@@ -425,7 +425,7 @@ impl Control {
         // A learned shortcut through the corpse is a blackhole: the
         // repaired trees route around it, so must the shortcut tables.
         shards.for_each(|_, s| {
-            for n in s.owned_nodes_mut() {
+            for n in &mut s.nodes {
                 n.shortcuts.invalidate_via(node);
             }
         });

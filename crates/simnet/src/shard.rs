@@ -9,13 +9,20 @@
 //! latency is the conservative engine's lookahead, so reception events
 //! never land inside the window that produced them.
 //!
+//! A shard keeps state for its own nodes only, densely and in ascending
+//! id order, so each added shard costs its queue and its strip rather
+//! than another copy of the world. A handler resolves the node its event
+//! names to a [`Local`] handle once, the one read of the id-to-index
+//! table, and passes the handle down; the reception fan-out takes its
+//! receivers' handles straight from the neighbour buckets.
+//!
 //! Whole-world state (routes, liveness, the first-death flag) is read
 //! from an immutable [`SharedNet`] snapshot that the coordinator swaps
 //! only at global events; node deaths are *announced* to the coordinator
 //! (one latency late, like any other cross-node signal) rather than
 //! applied to shared state in place.
 
-use crate::channel::{Channel, ClassPhys, NeighborIndex};
+use crate::channel::{Channel, ChannelSlot, ClassPhys, Local, NeighborIndex};
 use crate::events::{timer_node, Class, Ev, GlobalEv, Payload, TxId};
 use crate::fate::{fate_key, Fate, FateBook, FateMark};
 use crate::metrics::Metrics;
@@ -108,15 +115,19 @@ pub(crate) struct ShardState {
     pub phys: [Option<Arc<ClassPhys>>; 2],
     /// Coordinator-published snapshot of routes/liveness/death flag.
     pub shared: Arc<SharedNet>,
-    /// Global-indexed; `Some` exactly for nodes this shard owns.
-    pub nodes: Vec<Option<NodeState>>,
+    /// The nodes this shard owns and no others, ascending by id. A node's
+    /// [`Local::ix`] indexes this, both channels' slots and `timers`.
+    pub nodes: Vec<NodeState>,
+    /// The local index of every node of the world, by global id. A
+    /// foreign node's entry is out of range of `nodes`, so resolving it
+    /// panics ([`ShardState::local`]).
+    pub ix_of: Vec<u32>,
     pub chans: [Channel; 2],
     pub payloads: FastMap<u64, Payload>,
     pub txs: FastMap<u64, ActiveTx>,
-    /// The pending timers of each owned node, global-indexed like
-    /// `nodes`: a pending timer's [`Ev::timer`] identity and its cancel
-    /// handle, at most one per identity, so a re-arm or a death can
-    /// cancel it.
+    /// The pending timers of each owned node, indexed like `nodes`: a
+    /// pending timer's [`Ev::timer`] identity and its cancel handle, at
+    /// most one per identity, so a re-arm or a death can cancel it.
     pub timers: Vec<Vec<(u128, CancelId)>>,
     /// Low-radio transmissions currently audible at each owned node,
     /// with the instant their *frame body* starts (after the sender's
@@ -154,9 +165,10 @@ impl PdesShard for ShardState {
     type Global = GlobalEv;
 
     fn handle(&mut self, ctx: &mut ShardCtx<'_>, ev: Ev) {
-        // A depleted node is deaf, mute, and schedules nothing: any event
+        // Each arm resolves its node once and hands the handle down. A
+        // depleted node is deaf, mute, and schedules nothing: any event
         // still addressed to it (stale timers, wake completions) is void.
-        let target_dead = |w: &ShardState, node: NodeId| !w.node(node).is_alive();
+        let live = |w: &ShardState, node: NodeId| Some(w.local(node)).filter(|&at| w.alive(at));
         // Reception fan-outs are counted at the sender (see
         // `events_logical`); everything else counts where it runs.
         if !matches!(ev, Ev::RxBegin { .. } | Ev::RxEnd { .. }) {
@@ -164,14 +176,14 @@ impl PdesShard for ShardState {
         }
         match ev {
             Ev::AppArrival { node } => {
-                if target_dead(self, node) {
-                    return;
+                if let Some(at) = live(self, node) {
+                    self.app_arrival(ctx, at)
                 }
-                self.app_arrival(ctx, node)
             }
             Ev::MacTimer { node, class, kind } => {
-                self.unfile(ev.ord());
-                self.mac_event(ctx, node, class, MacEvent::Timer(kind), None);
+                let at = self.local(node);
+                self.unfile(at, ev.ord());
+                self.mac_event(ctx, at, class, MacEvent::Timer(kind), None);
             }
             Ev::TxEnd { tx } => self.tx_end(ctx, tx),
             Ev::RxBegin {
@@ -189,97 +201,117 @@ impl PdesShard for ShardState {
                 payload,
             } => self.rx_end(ctx, tx, sender, class, frame, sender_died, payload),
             Ev::RadioWakeDone { node } => {
-                if target_dead(self, node) {
-                    return;
+                if let Some(at) = live(self, node) {
+                    self.radio_wake_done(ctx, at)
                 }
-                self.radio_wake_done(ctx, node)
             }
             Ev::BcpAckTimer { node, burst } => {
-                self.unfile(ev.ord());
-                if target_dead(self, node) {
+                let at = self.local(node);
+                self.unfile(at, ev.ord());
+                if !self.alive(at) {
                     return;
                 }
                 let mut actions = Vec::new();
-                if let Some(tx) = self.node_mut(node).bcp_tx.as_mut() {
+                if let Some(tx) = self.nodes[at.ix()].bcp_tx.as_mut() {
                     tx.on_ack_timeout(ctx.now(), burst, &mut actions);
                 }
-                self.sender_actions(ctx, node, actions);
+                self.sender_actions(ctx, at, actions);
             }
             Ev::BcpDataTimer { node, burst } => {
-                self.unfile(ev.ord());
-                if target_dead(self, node) {
+                let at = self.local(node);
+                self.unfile(at, ev.ord());
+                if !self.alive(at) {
                     return;
                 }
                 let mut actions = Vec::new();
-                if let Some(rx) = self.node_mut(node).bcp_rx.as_mut() {
+                if let Some(rx) = self.nodes[at.ix()].bcp_rx.as_mut() {
                     rx.on_data_timeout(ctx.now(), burst, &mut actions);
                 }
-                self.receiver_actions(ctx, node, actions);
+                self.receiver_actions(ctx, at, actions);
             }
             Ev::HighIdleOff { node } => {
-                self.unfile(ev.ord());
-                if target_dead(self, node) {
-                    return;
+                let at = self.local(node);
+                self.unfile(at, ev.ord());
+                if self.alive(at) {
+                    self.high_idle_off(ctx, at)
                 }
-                self.high_idle_off(ctx, node)
             }
             Ev::Flush { node } => {
-                if target_dead(self, node) {
+                let Some(at) = live(self, node) else {
                     return;
-                }
+                };
                 let mut actions = Vec::new();
-                if let Some(tx) = self.node_mut(node).bcp_tx.as_mut() {
+                if let Some(tx) = self.nodes[at.ix()].bcp_tx.as_mut() {
                     tx.flush(ctx.now(), &mut actions);
                 }
-                self.sender_actions(ctx, node, actions);
+                self.sender_actions(ctx, at, actions);
             }
             Ev::PowerCheck { node } => {
-                self.unfile(ev.ord());
-                self.power_touch(ctx, node);
+                let at = self.local(node);
+                self.unfile(at, ev.ord());
+                self.power_touch(ctx, at);
             }
             Ev::WakeSample { node } => {
-                self.unfile(ev.ord());
-                if target_dead(self, node) {
-                    return;
+                let at = self.local(node);
+                self.unfile(at, ev.ord());
+                if self.alive(at) {
+                    self.wake_sample(ctx, at)
                 }
-                self.wake_sample(ctx, node)
             }
             Ev::Sleep { node } => {
-                if target_dead(self, node) {
-                    return;
+                if let Some(at) = live(self, node) {
+                    self.lpl_sleep(ctx, at)
                 }
-                self.lpl_sleep(ctx, node)
             }
         }
     }
 }
 
 impl ShardState {
-    /// The state of an owned node.
+    /// Resolves an owned node to its handle: the read of the id-to-index
+    /// table that a handler makes once for the node it runs on.
     ///
     /// # Panics
     ///
     /// Panics if this shard does not own `node` (an event was misrouted).
+    #[inline]
+    pub fn local(&self, node: NodeId) -> Local {
+        let ix = self.ix_of[node.index()] as usize;
+        assert!(ix < self.nodes.len(), "event routed to non-owning shard");
+        Local::new(node, ix)
+    }
+
+    /// The state of an owned node (same panic contract as
+    /// [`ShardState::local`]).
     pub fn node(&self, node: NodeId) -> &NodeState {
-        self.nodes[node.index()]
-            .as_ref()
-            .expect("event routed to non-owning shard")
+        &self.nodes[self.local(node).ix()]
     }
 
-    /// Mutable state of an owned node (same panic contract).
-    pub fn node_mut(&mut self, node: NodeId) -> &mut NodeState {
-        self.nodes[node.index()]
-            .as_mut()
-            .expect("event routed to non-owning shard")
+    /// `true` while the node's battery lasts.
+    pub(crate) fn alive(&self, at: Local) -> bool {
+        self.nodes[at.ix()].is_alive()
     }
 
-    /// Iterates the nodes this shard owns, ascending by id.
-    pub fn owned_nodes(&self) -> impl Iterator<Item = &NodeState> {
-        self.nodes.iter().flatten()
-    }
-
-    pub fn owned_nodes_mut(&mut self) -> impl Iterator<Item = &mut NodeState> {
-        self.nodes.iter_mut().flatten()
+    /// Appends an owned node with its low- and high-channel slots. Nodes
+    /// arrive in ascending id order, so each lands at its local index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is foreign or arrives out of order.
+    pub(crate) fn place(&mut self, node: NodeState, slots: [ChannelSlot; 2]) -> Local {
+        let at = Local::new(node.id, self.nodes.len());
+        assert_eq!(
+            self.ix_of[node.id.index()] as usize,
+            at.ix(),
+            "{} placed out of order or off its owner",
+            node.id
+        );
+        for (chan, slot) in self.chans.iter_mut().zip(slots) {
+            chan.push(slot);
+        }
+        self.timers.push(Vec::new());
+        self.nodes.push(node);
+        at
     }
 
     // ------------------------------------------------------------------
@@ -292,27 +324,28 @@ impl ShardState {
     // variant folds `ev.timer()` to a constant: out of line, with their
     // `Ev::ord` calls, the grid and `paper_specs` ran about 3% slower.
     #[inline(always)]
-    pub(crate) fn arm(&mut self, ctx: &mut ShardCtx<'_>, delay: SimDuration, ev: Ev) {
+    pub(crate) fn arm(&mut self, ctx: &mut ShardCtx<'_>, at: Local, delay: SimDuration, ev: Ev) {
         let timer = ev.timer().expect("only a timer is armed");
         let id = ctx.after(delay, ev);
-        if let Some(old) = self.file(timer, id) {
+        if let Some(old) = self.file(at, timer, id) {
             ctx.cancel(old);
         }
     }
 
     /// Cancels the pending timer `ev`, if there is one.
     #[inline(always)]
-    pub(crate) fn disarm(&mut self, ctx: &mut ShardCtx<'_>, ev: Ev) {
+    pub(crate) fn disarm(&mut self, ctx: &mut ShardCtx<'_>, at: Local, ev: Ev) {
         let timer = ev.timer().expect("only a timer is disarmed");
-        if let Some(id) = self.unfile(timer) {
+        if let Some(id) = self.unfile(at, timer) {
             ctx.cancel(id);
         }
     }
 
-    /// Files a pending timer's handle under its identity and returns the
-    /// handle it replaced.
-    pub(crate) fn file(&mut self, timer: u128, id: CancelId) -> Option<CancelId> {
-        let list = &mut self.timers[timer_node(timer).index()];
+    /// Files a pending timer's handle under its identity in the list of
+    /// its node, `at`, and returns the handle it replaced.
+    pub(crate) fn file(&mut self, at: Local, timer: u128, id: CancelId) -> Option<CancelId> {
+        debug_assert_eq!(timer_node(timer), at.id, "timer filed off its node");
+        let list = &mut self.timers[at.ix()];
         match list.iter_mut().find(|e| e.0 == timer) {
             Some(e) => Some(std::mem::replace(&mut e.1, id)),
             None => {
@@ -324,8 +357,8 @@ impl ShardState {
 
     /// Drops the entry of a timer that fired or is being cancelled and
     /// returns its handle.
-    fn unfile(&mut self, timer: u128) -> Option<CancelId> {
-        let list = &mut self.timers[timer_node(timer).index()];
+    fn unfile(&mut self, at: Local, timer: u128) -> Option<CancelId> {
+        let list = &mut self.timers[at.ix()];
         let i = list.iter().position(|e| e.0 == timer)?;
         Some(list.swap_remove(i).1)
     }
@@ -365,12 +398,13 @@ impl ShardState {
     // Application layer
     // ------------------------------------------------------------------
 
-    fn app_arrival(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId) {
+    fn app_arrival(&mut self, ctx: &mut ShardCtx<'_>, at: Local) {
         let now = ctx.now();
         let end = self.traffic_end();
+        let node = at.id;
         let dest = self.flow_dest[node.index()];
         let pkt = {
-            let n = self.node_mut(node);
+            let n = &mut self.nodes[at.ix()];
             let pkt = AppPacket::new(node, dest, n.app_seq, now, n.pending_bytes);
             n.app_seq += 1;
             if let Some((t, b)) = n
@@ -411,7 +445,7 @@ impl ShardState {
                 bytes: pkt.bytes as u32,
             });
             // …but the air carries it once per dissemination-tree edge.
-            self.broadcast_relay(ctx, node, &pkt);
+            self.broadcast_relay(ctx, at, &pkt);
             return;
         }
         self.metrics.on_generated(&pkt, alive_prefix);
@@ -422,9 +456,9 @@ impl ShardState {
             bytes: pkt.bytes as u32,
         });
         match self.scen.model {
-            ModelKind::Sensor => self.forward_data(ctx, node, pkt, Class::Low),
-            ModelKind::Dot11 => self.forward_data(ctx, node, pkt, Class::High),
-            ModelKind::DualRadio => self.bcp_data(ctx, node, pkt),
+            ModelKind::Sensor => self.forward_data(ctx, at, pkt, Class::Low),
+            ModelKind::Dot11 => self.forward_data(ctx, at, pkt, Class::High),
+            ModelKind::DualRadio => self.bcp_data(ctx, at, pkt),
         }
     }
 
@@ -439,17 +473,12 @@ impl ShardState {
     /// one re-addressed copy per child, over the model's data path (the
     /// low radio hop for the sensor flood, the high radio for 802.11,
     /// BCP's buffer-and-burst for dual-radio).
-    pub(crate) fn broadcast_relay(
-        &mut self,
-        ctx: &mut ShardCtx<'_>,
-        node: NodeId,
-        pkt: &AppPacket,
-    ) {
+    pub(crate) fn broadcast_relay(&mut self, ctx: &mut ShardCtx<'_>, at: Local, pkt: &AppPacket) {
         let shared = Arc::clone(&self.shared);
         let Some(tree) = shared.dissem.as_ref() else {
             return;
         };
-        for &child in tree.children(node) {
+        for &child in tree.children(at.id) {
             let copy = AppPacket {
                 dest: child,
                 ..*pkt
@@ -459,7 +488,7 @@ impl ShardState {
                     // The tree edge *is* the next hop: no route lookup.
                     self.enqueue_frame(
                         ctx,
-                        node,
+                        at,
                         Class::Low,
                         child,
                         copy.bytes,
@@ -469,7 +498,7 @@ impl ShardState {
                 ModelKind::Dot11 => {
                     self.enqueue_frame(
                         ctx,
-                        node,
+                        at,
                         Class::High,
                         child,
                         copy.bytes,
@@ -478,12 +507,12 @@ impl ShardState {
                 }
                 ModelKind::DualRadio => {
                     let mut actions = Vec::new();
-                    self.node_mut(node)
+                    self.nodes[at.ix()]
                         .bcp_tx
                         .as_mut()
                         .expect("dual model has BCP sender")
                         .on_data(ctx.now(), child, copy, &mut actions);
-                    self.sender_actions(ctx, node, actions);
+                    self.sender_actions(ctx, at, actions);
                 }
             }
         }
@@ -493,7 +522,7 @@ impl ShardState {
     pub(crate) fn forward_data(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        node: NodeId,
+        at: Local,
         pkt: AppPacket,
         class: Class,
     ) {
@@ -501,15 +530,15 @@ impl ShardState {
             Class::Low => &self.shared.low_routes,
             Class::High => &self.shared.high_routes,
         };
-        match routes.next_hop(node, pkt.dest) {
+        match routes.next_hop(at.id, pkt.dest) {
             Some(next) => {
-                self.enqueue_frame(ctx, node, class, next, pkt.bytes, Payload::SensorData(pkt));
+                self.enqueue_frame(ctx, at, class, next, pkt.bytes, Payload::SensorData(pkt));
             }
             None => {
                 let key = ctx.current_key();
                 self.fate_lost(&pkt, Fate::LostMac, key); // unroutable
                 self.trace_with(key, || TraceEvent::PktDrop {
-                    node: node.0,
+                    node: at.id.0,
                     pkt: pkt.id.0,
                     reason: TraceDrop::Unroutable,
                 });
@@ -518,32 +547,33 @@ impl ShardState {
     }
 
     /// Data entering BCP at `node` (origin or relay).
-    pub(crate) fn bcp_data(&mut self, ctx: &mut ShardCtx<'_>, node: NodeId, pkt: AppPacket) {
-        let Some(next) = self.high_next_hop(node, pkt.dest) else {
+    pub(crate) fn bcp_data(&mut self, ctx: &mut ShardCtx<'_>, at: Local, pkt: AppPacket) {
+        let Some(next) = self.high_next_hop(at, pkt.dest) else {
             let key = ctx.current_key();
             self.fate_lost(&pkt, Fate::LostMac, key);
             self.trace_with(key, || TraceEvent::PktDrop {
-                node: node.0,
+                node: at.id.0,
                 pkt: pkt.id.0,
                 reason: TraceDrop::Unroutable,
             });
             return;
         };
         let mut actions = Vec::new();
-        self.node_mut(node)
+        self.nodes[at.ix()]
             .bcp_tx
             .as_mut()
             .expect("dual model has BCP sender")
             .on_data(ctx.now(), next, pkt, &mut actions);
-        self.sender_actions(ctx, node, actions);
+        self.sender_actions(ctx, at, actions);
     }
 
-    pub(crate) fn high_next_hop(&self, node: NodeId, dst: NodeId) -> Option<NodeId> {
+    pub(crate) fn high_next_hop(&self, at: Local, dst: NodeId) -> Option<NodeId> {
+        let node = at.id;
         match self.scen.high_route {
             HighRoute::Tree => self.shared.high_routes.next_hop(node, dst),
             HighRoute::LowParents { shortcuts, .. } => {
                 if shortcuts {
-                    if let Some(via) = self.node(node).shortcuts.shortcut(dst) {
+                    if let Some(via) = self.nodes[at.ix()].shortcuts.shortcut(dst) {
                         // Liveness is read from the coordinator snapshot:
                         // a forwarder's death becomes visible when the
                         // NodeDied repair publishes the new snapshot, one
@@ -581,8 +611,8 @@ impl ShardState {
         }
     }
 
-    pub(crate) fn radio_senses(&self, node: NodeId, class: Class) -> bool {
-        self.node(node)
+    pub(crate) fn radio_senses(&self, at: Local, class: Class) -> bool {
+        self.nodes[at.ix()]
             .radio(class)
             .map(|r| {
                 matches!(
@@ -596,17 +626,17 @@ impl ShardState {
     pub(crate) fn start_tx(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        node: NodeId,
+        at: Local,
         class: Class,
         frame: MacFrame,
     ) {
         let now = ctx.now();
         let ci = class.index();
+        let (node, ix) = (at.id, at.ix());
         // Data frames pay the MAC's LPL wake-up preamble (zero under
         // AlwaysOn — bit-identical airtime); ACKs are never stretched.
         let airtime = match frame.kind {
-            FrameKind::Data => self
-                .node(node)
+            FrameKind::Data => self.nodes[ix]
                 .mac(class)
                 .config()
                 .data_airtime(self.profile(class), frame.payload_bytes),
@@ -614,12 +644,11 @@ impl ShardState {
         };
         // If the radio was mid-reception, transmitting tramples it
         // (capture); release the channel lock first.
-        if let Some((locked, _)) = self.chans[ci].locked_rx(node) {
-            self.chans[ci].unlock_rx(node, locked);
+        if let Some((locked, _)) = self.chans[ci].locked_rx(ix) {
+            self.chans[ci].unlock_rx(ix, locked);
         }
         {
-            let n = self.node_mut(node);
-            let radio = n.radio_mut(class);
+            let radio = self.nodes[ix].radio_mut(class);
             match radio.state() {
                 RadioState::Idle => radio.start_tx(now),
                 RadioState::Receiving => {
@@ -630,7 +659,7 @@ impl ShardState {
             }
         }
         let txid = {
-            let n = self.node_mut(node);
+            let n = &mut self.nodes[ix];
             let seq = n.tx_seq;
             n.tx_seq += 1;
             TxId::new(node, seq)
@@ -643,7 +672,7 @@ impl ShardState {
                 frame,
             },
         );
-        self.power_touch(ctx, node);
+        self.power_touch(ctx, at);
         ctx.after(airtime, Ev::TxEnd { tx: txid });
         let key = ctx.current_key();
         // Data frames on the low radio stretch by the LPL wake-up preamble
@@ -711,10 +740,11 @@ impl ShardState {
             // An inaudible frame leaves no state at all — no carrier, no
             // LPL entry, nothing to decode; `rx_end` mirrors this via the
             // audible table.
+            let ix = r.ix();
             let rx_mw = match &phys {
                 None => None,
                 Some(p) => {
-                    let mw = p.rx_mw(&self.scen.topo, sender, r);
+                    let mw = p.rx_mw(&self.scen.topo, sender, r.id);
                     if mw < p.noise_mw {
                         continue;
                     }
@@ -723,17 +753,16 @@ impl ShardState {
             };
             if let Some(body_start) = lpl_body_start {
                 self.lpl_audible
-                    .entry(r.0)
+                    .entry(r.id.0)
                     .or_default()
                     .push((tx, body_start));
             }
-            let clean_start = !self.chans[ci].carrier_busy(r);
-            let edge = self.chans[ci].carrier_up(r);
+            let clean_start = !self.chans[ci].carrier_busy(ix);
+            let edge = self.chans[ci].carrier_up(ix);
             if let Some(mw) = rx_mw {
-                self.chans[ci].audible_add(r, tx, mw);
+                self.chans[ci].audible_add(ix, tx, mw);
             }
-            let can_hear = self
-                .node(r)
+            let can_hear = self.nodes[ix]
                 .radio(class)
                 .map(|rd| rd.state() == RadioState::Idle)
                 .unwrap_or(false);
@@ -746,23 +775,23 @@ impl ShardState {
                     if clean_start && can_hear {
                         true
                     } else {
-                        self.chans[ci].poison_rx(r);
+                        self.chans[ci].poison_rx(ix);
                         false
                     }
                 }
                 // Received power: an SINR decision instead.
                 (Some(p), Some(mw)) => {
-                    if let Some((locked, _)) = self.chans[ci].locked_rx(r) {
+                    if let Some((locked, _)) = self.chans[ci].locked_rx(ix) {
                         // Capture: the frame being received survives the
                         // new interferer iff its margin over everything
                         // else audible still clears the threshold. A
                         // stronger late arrival is interference, not a
                         // lock steal — first decodable lock wins.
-                        let survives = self.chans[ci].audible_power(r, locked).is_some_and(|s| {
-                            p.decodes(s, self.chans[ci].interference_mw(r, locked))
+                        let survives = self.chans[ci].audible_power(ix, locked).is_some_and(|s| {
+                            p.decodes(s, self.chans[ci].interference_mw(ix, locked))
                         });
                         if !survives {
-                            self.chans[ci].poison_rx(r);
+                            self.chans[ci].poison_rx(ix);
                         }
                         false
                     } else {
@@ -770,18 +799,18 @@ impl ShardState {
                         // the interference already on the air (capture
                         // onto a strong frame through weak ones). Audible
                         // but undecodable energy still carrier-senses.
-                        can_hear && p.decodes(mw, self.chans[ci].interference_mw(r, tx))
+                        can_hear && p.decodes(mw, self.chans[ci].interference_mw(ix, tx))
                     }
                 }
                 (Some(_), None) => unreachable!("inaudible frames were skipped above"),
             };
             if lock {
-                self.chans[ci].lock_rx(r, tx);
-                self.node_mut(r).radio_mut(class).start_rx(now);
+                self.chans[ci].lock_rx(ix, tx);
+                self.nodes[ix].radio_mut(class).start_rx(now);
                 self.power_touch(ctx, r);
                 let key = ctx.current_key();
                 self.trace_with(key, || TraceEvent::RxStart {
-                    node: r.0,
+                    node: r.id.0,
                     from: sender.0,
                     class: trace_class(class),
                 });
@@ -801,11 +830,12 @@ impl ShardState {
         } = self.txs.remove(&txid.0).expect("unknown transmission");
         // A sender whose battery died mid-air truncated the frame: its
         // radio is already off, and every receiver hears garbage.
-        let sender_died = !self.node(sender).is_alive();
+        let at = self.local(sender);
+        let sender_died = !self.alive(at);
         if !sender_died {
-            self.node_mut(sender).radio_mut(class).end_tx(now);
-            self.power_touch(ctx, sender);
-            self.mac_event(ctx, sender, class, MacEvent::TxFinished, None);
+            self.nodes[at.ix()].radio_mut(class).end_tx(now);
+            self.power_touch(ctx, at);
+            self.mac_event(ctx, at, class, MacEvent::TxFinished, None);
         }
         let ci = class.index();
         let hear_at = ctx.now() + self.scen.link_latency(class);
@@ -854,27 +884,28 @@ impl ShardState {
         let neigh = self.neigh[ci].clone();
         let logn = self.phys[ci].is_some();
         for &r in neigh.of(sender, self.id) {
+            let ix = r.ix();
             // Mirror of `rx_begin`'s audibility gate: a frame that never
             // reached the noise floor at `r` left no state to clear.
-            if logn && !self.chans[ci].audible_remove(r, tx) {
+            if logn && !self.chans[ci].audible_remove(ix, tx) {
                 continue;
             }
             if track_lpl {
-                if let Some(v) = self.lpl_audible.get_mut(&r.0) {
+                if let Some(v) = self.lpl_audible.get_mut(&r.id.0) {
                     v.retain(|(t, _)| *t != tx);
                 }
             }
-            if let Some(corrupted) = self.chans[ci].unlock_rx(r, tx) {
-                if !self.node(r).is_alive() {
+            if let Some(corrupted) = self.chans[ci].unlock_rx(ix, tx) {
+                if !self.alive(r) {
                     // The receiver died mid-reception; its radio is off and
                     // the channel lock is all that was left to clear.
-                    if self.chans[ci].carrier_down(r) && self.radio_senses(r, class) {
+                    if self.chans[ci].carrier_down(ix) && self.radio_senses(r, class) {
                         self.mac_event(ctx, r, class, MacEvent::Carrier(false), None);
                     }
                     continue;
                 }
-                let lost = corrupted || sender_died || self.chans[ci].channel_loss(r);
-                let my_addr = self.mac_addr_of(r, class);
+                let lost = corrupted || sender_died || self.chans[ci].channel_loss(ix);
+                let my_addr = self.mac_addr_of(r.id, class);
                 let for_me = frame.dst == my_addr || frame.dst.is_broadcast();
                 let outcome = if lost {
                     RxOutcome::Corrupted
@@ -883,11 +914,11 @@ impl ShardState {
                 } else {
                     RxOutcome::Overheard
                 };
-                self.node_mut(r).radio_mut(class).end_rx(now, outcome);
+                self.nodes[ix].radio_mut(class).end_rx(now, outcome);
                 self.power_touch(ctx, r);
                 let key = ctx.current_key();
                 self.trace_with(key, || TraceEvent::RxEnd {
-                    node: r.0,
+                    node: r.id.0,
                     from: sender.0,
                     class: trace_class(class),
                     // Derived from flags already computed above — the
@@ -911,17 +942,17 @@ impl ShardState {
                     }
                 }
             }
-            if self.chans[ci].carrier_down(r) && self.radio_senses(r, class) {
+            if self.chans[ci].carrier_down(ix) && self.radio_senses(r, class) {
                 self.mac_event(ctx, r, class, MacEvent::Carrier(false), None);
             }
         }
     }
 
-    /// A clean frame addressed to someone else finished at `node`.
+    /// A clean frame addressed to someone else finished at `at`.
     fn on_overheard(
         &mut self,
         ctx: &mut ShardCtx<'_>,
-        node: NodeId,
+        at: Local,
         class: Class,
         frame: &MacFrame,
         payload: Option<&Payload>,
@@ -933,7 +964,7 @@ impl ShardState {
                 let p = &self.scen.low_profile;
                 let header_time = p.control_airtime(p.header_bytes);
                 let e = p.p_rx * header_time;
-                self.node_mut(node).header_overhear += e;
+                self.nodes[at.ix()].header_overhear += e;
             }
             Class::High => {
                 // Shortcut learning: hearing our own packets being
@@ -942,13 +973,13 @@ impl ShardState {
                     shortcuts: true, ..
                 } = self.scen.high_route
                 {
-                    if ctx.now() <= self.node(node).listen_until {
+                    if ctx.now() <= self.nodes[at.ix()].listen_until {
                         if let Some(Payload::Burst { packets, .. }) = payload {
-                            let ours = packets.iter().find(|p| p.origin == node);
+                            let ours = packets.iter().find(|p| p.origin == at.id);
                             if let Some(p) = ours {
                                 let dst = p.dest;
                                 if let Some(via) = node_of_mac(&self.addr, frame.src, Class::High) {
-                                    self.node_mut(node).shortcuts.learn(dst, via);
+                                    self.nodes[at.ix()].shortcuts.learn(dst, via);
                                 }
                             }
                         }
@@ -956,5 +987,85 @@ impl ShardState {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::spec::parse_spec;
+    use crate::world::{LiveWorld, RunOptions, World};
+    use crate::Scenario;
+    use bcp_net::addr::NodeId;
+    use bcp_sim::time::SimTime;
+
+    fn spec(text: &str) -> Scenario {
+        parse_spec(text).expect("checked-in spec parses")
+    }
+
+    /// Each shard holds exactly its partition's nodes, ascending by id,
+    /// with one slot per channel class and one timer list per node, and
+    /// resolves each to its position; the shards hold every node once.
+    fn assert_shards_hold_their_strips(lw: &LiveWorld, label: &str) {
+        let (topo, part) = (&lw.scaf.scen.topo, &lw.scaf.part);
+        assert_eq!(lw.shards.len(), part.k(), "{label}");
+        let mut total = 0;
+        for (s, _) in &lw.shards {
+            let ids: Vec<NodeId> = s.nodes.iter().map(|node| node.id).collect();
+            let owned: Vec<NodeId> = topo.nodes().filter(|&m| part.shard_of(m) == s.id).collect();
+            let label = format!("{label}, shard {}", s.id);
+            assert_eq!(ids, owned, "{label}");
+            assert_eq!(ids.len(), part.shard_sizes()[s.id], "{label}");
+            assert_eq!(s.chans[0].len(), ids.len(), "{label}: low channel");
+            assert_eq!(s.chans[1].len(), ids.len(), "{label}: high channel");
+            assert_eq!(s.timers.len(), ids.len(), "{label}: timer lists");
+            for (ix, &id) in ids.iter().enumerate() {
+                assert_eq!(s.local(id).ix(), ix, "{label}: {id}");
+            }
+            total += ids.len();
+        }
+        assert_eq!(total, topo.len(), "{label}");
+    }
+
+    #[test]
+    fn each_shard_holds_exactly_the_nodes_it_owns() {
+        let worlds = [
+            (
+                "serve_long",
+                spec(include_str!("../../../examples/specs/serve_long.scn")),
+            ),
+            (
+                "scale_2025",
+                spec(include_str!("../../../examples/specs/scale_2025.scn")),
+            ),
+        ];
+        for (name, base) in worlds {
+            for (k, other) in [(1, 8), (2, 4), (4, 1), (8, 2)] {
+                let scen = Scenario {
+                    shards: k,
+                    ..base.clone()
+                };
+                let mut lw = World::build(&scen, &RunOptions::default());
+                assert_shards_hold_their_strips(&lw, &format!("{name} built at {k}"));
+                lw.run_to(SimTime::from_millis(300));
+                let snap = lw.snapshot().with_shards(other);
+                let restored = LiveWorld::restore(&snap, &RunOptions::default());
+                let label = format!("{name} paused at {k}, restored at {other}");
+                assert_shards_hold_their_strips(&restored, &label);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event routed to non-owning shard")]
+    fn reading_a_foreign_node_panics() {
+        let scen = spec(include_str!("../../../examples/specs/serve_long.scn"));
+        let lw = World::build(&scen, &RunOptions::default());
+        let part = &lw.scaf.part;
+        let foreign = scen
+            .topo
+            .nodes()
+            .find(|&m| part.shard_of(m) != 0)
+            .expect("another shard owns a node");
+        lw.shards[0].0.node(foreign);
     }
 }

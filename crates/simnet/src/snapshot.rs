@@ -432,8 +432,9 @@ pub(crate) fn capture(lw: &LiveWorld) -> WorldState {
         .map(|i| {
             let id = NodeId(i as u32);
             let shard = &lw.shards[scaf.part.shard_of(id)].0;
-            let node = shard.nodes[i].clone().expect("owner has the node");
-            (node, [shard.chans[0].slot(id), shard.chans[1].slot(id)])
+            let ix = scaf.part.local_of(id);
+            let slots = [shard.chans[0].slot(ix), shard.chans[1].slot(ix)];
+            (shard.nodes[ix].clone(), slots)
         })
         .collect();
 
@@ -591,31 +592,14 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
         state.route_residual.clone(),
     );
 
-    // Channel slots start from placeholder seeds; every owned slot is
-    // then overwritten with the captured loss/RNG registers, and only
-    // owned slots are ever read.
-    let placeholder_seeds = vec![1u64; n];
     let mut shards: Vec<(ShardState, ShardQueue<Ev>)> = (0..k)
-        .map(|id| {
-            (
-                scaf.blank_shard(
-                    id,
-                    &placeholder_seeds,
-                    &placeholder_seeds,
-                    &shared,
-                    opts.trace,
-                ),
-                ShardQueue::new(),
-            )
-        })
+        .map(|id| (scaf.blank_shard(id, &shared, opts.trace), ShardQueue::new()))
         .collect();
-
+    // Each node, with its captured channel slots, goes to its owner.
     for (node, slots) in &state.nodes {
-        let (s, _) = &mut shards[part.shard_of(node.id)];
-        for (chan, slot) in s.chans.iter_mut().zip(slots) {
-            chan.set_slot(node.id, slot.clone());
-        }
-        s.nodes[node.id.index()] = Some(node.clone());
+        shards[part.shard_of(node.id)]
+            .0
+            .place(node.clone(), slots.clone());
     }
 
     // Whole-run cumulative scalars land on shard 0: the finaliser sums
@@ -754,7 +738,8 @@ fn schedule_restored(s: &mut ShardState, q: &mut ShardQueue<Ev>, key: EvKey, ev:
     let timer = ev.timer();
     let id = q.schedule_with_key(key, ev);
     if let Some(timer) = timer {
-        s.file(timer, id);
+        let at = s.local(crate::events::timer_node(timer));
+        s.file(at, timer, id);
     }
 }
 
@@ -999,11 +984,7 @@ fn check_invariants(
     prev_delivered: &mut FastMap<(NodeId, NodeId), u64>,
     violations: &mut Vec<String>,
 ) {
-    let n = s.scen.topo.len();
-    for i in 0..n {
-        let Some(node) = s.nodes[i].as_ref() else {
-            continue;
-        };
+    for (ix, node) in s.nodes.iter().enumerate() {
         let alive = node.is_alive();
         if !alive {
             let mut off = node.low_radio.state() == RadioState::Off;
@@ -1016,7 +997,7 @@ fn check_invariants(
                     format!("t={t}: dead node {} has a radio powered on", node.id),
                 );
             }
-            if !s.timers[i].is_empty() {
+            if !s.timers[ix].is_empty() {
                 push_violation(
                     violations,
                     format!("t={t}: dead node {} holds a pending timer", node.id),
@@ -1048,7 +1029,7 @@ fn check_invariants(
             }
         }
         for (ci, class) in [(0usize, Class::Low), (1, Class::High)] {
-            if s.chans[ci].locked_rx(NodeId(i as u32)).is_some() {
+            if s.chans[ci].locked_rx(ix).is_some() {
                 let receiving = node
                     .radio(class)
                     .map(|r| r.state() == RadioState::Receiving)
@@ -1056,7 +1037,10 @@ fn check_invariants(
                 if alive && !receiving {
                     push_violation(
                         violations,
-                        format!("t={t}: node {i} holds a {class:?} medium lock without receiving"),
+                        format!(
+                            "t={t}: node {} holds a {class:?} medium lock without receiving",
+                            node.id
+                        ),
                     );
                 }
             }
@@ -1064,17 +1048,11 @@ fn check_invariants(
     }
     for (&flow, f) in &s.metrics.flows {
         let prev = prev_delivered.get(&flow).copied().unwrap_or(0);
-        if f.delivered_packets > prev {
-            let dead = s.nodes[flow.1.index()]
-                .as_ref()
-                .map(|n| !n.is_alive())
-                .unwrap_or(false);
-            if dead {
-                push_violation(
-                    violations,
-                    format!("t={t}: delivery to dead node {}", flow.1),
-                );
-            }
+        if f.delivered_packets > prev && !s.node(flow.1).is_alive() {
+            push_violation(
+                violations,
+                format!("t={t}: delivery to dead node {}", flow.1),
+            );
         }
         prev_delivered.insert(flow, f.delivered_packets);
     }
@@ -1312,9 +1290,10 @@ mod tests {
                 .filter_map(|(_, ev)| ev.timer().map(fields))
                 .collect();
             let mut filed = Vec::new();
-            for (i, list) in s.timers.iter().enumerate() {
+            assert_eq!(s.timers.len(), s.nodes.len(), "{label}");
+            for (list, node) in s.timers.iter().zip(&s.nodes) {
                 for &(timer, _) in list {
-                    assert_eq!(crate::events::timer_node(timer).index(), i, "{label}");
+                    assert_eq!(crate::events::timer_node(timer), node.id, "{label}");
                     filed.push(fields(timer));
                 }
             }

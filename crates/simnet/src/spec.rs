@@ -43,12 +43,12 @@
 //! BCP handshake can address any peer and so that model keeps every
 //! route column of both radios; the sensor and 802.11 models build only
 //! the columns toward their data destinations. Measured on a 2-vCPU host
-//! (release, peak RSS of the process), `World::build` alone takes 37 MB
-//! and 16 ms for the sensor model at 2,025 nodes and 38 MB and 20 ms at
-//! 4,096, against 83 MB and 0.11 s, and 294 MB and 0.32 s, for dual
-//! radio. [`parse_spec`] refuses a larger topology with
-//! [`SpecError::TooManyNodes`] before allocating it, so one line of a
-//! submitted cell cannot exhaust a server's memory.
+//! (release, peak RSS of a fresh process), `World::build` alone takes
+//! 8.0 MB and 6.3 ms for the sensor model at 2,025 nodes on 8 shards and
+//! 12.6 MB and 12 ms at 4,096 on 4, against 71 MB and 0.14 s, and
+//! 270 MB and 0.56 s, for dual radio on 4. [`parse_spec`] refuses a
+//! larger topology with [`SpecError::TooManyNodes`] before allocating
+//! it, so one line of a submitted cell cannot exhaust a server's memory.
 
 use crate::scenario::{HighRoute, ModelKind, Scenario, WorkloadKind};
 use bcp_core::config::BcpConfig;

@@ -16,7 +16,7 @@
 //! of the shard count and thread count*. Sharding changes wall-clock
 //! time, never physics.
 
-use crate::channel::{Channel, ClassPhys, NeighborIndex};
+use crate::channel::{Channel, ChannelSlot, ClassPhys, NeighborIndex};
 use crate::events::{Class, Ev, GlobalEv};
 use crate::fate::{settle, FateBook};
 use crate::metrics::{EngineStats, Metrics, RunStats, SeriesSample};
@@ -115,12 +115,7 @@ impl World {
         let t0 = SimTime::ZERO;
 
         let mut shards: Vec<(ShardState, ShardQueue<Ev>)> = (0..k)
-            .map(|id| {
-                (
-                    scaf.blank_shard(id, &loss_seeds_low, &loss_seeds_high, &shared, opts.trace),
-                    ShardQueue::new(),
-                )
-            })
+            .map(|id| (scaf.blank_shard(id, &shared, opts.trace), ShardQueue::new()))
             .collect();
 
         let traffic_end = match scen.traffic_cutoff {
@@ -129,25 +124,34 @@ impl World {
         };
         for id in scen.topo.nodes() {
             let mut node = NodeState::new(&scen, &addr, id, &mut rng);
-            // Seed the node's initial events into its owning shard.
+            let arrival = node
+                .workload
+                .as_mut()
+                .and_then(|w| w.next_arrival())
+                .filter(|&(t, _)| t <= traffic_end);
+            if let Some((_, b)) = arrival {
+                node.pending_bytes = b;
+            }
+            let powered = node.supply.is_some();
+            let slots = [
+                ChannelSlot::seeded(loss_seeds_low[id.index()]),
+                ChannelSlot::seeded(loss_seeds_high[id.index()]),
+            ];
             let (state, queue) = &mut shards[part.shard_of(id)];
-            if let Some(w) = node.workload.as_mut() {
-                if let Some((t, b)) = w.next_arrival() {
-                    if t <= traffic_end {
-                        node.pending_bytes = b;
-                        queue.schedule(t, Ev::AppArrival { node: id });
-                    }
-                }
+            let at = state.place(node, slots);
+            // Seed the node's initial events into its owning shard.
+            if let Some((t, _)) = arrival {
+                queue.schedule(t, Ev::AppArrival { node: id });
             }
             if scen.flush_at_cutoff && scen.model == ModelKind::DualRadio {
                 if let Some(cutoff) = scen.traffic_cutoff {
                     queue.schedule(t0 + cutoff, Ev::Flush { node: id });
                 }
             }
-            if node.supply.is_some() {
+            if powered {
                 // The handler projects the exact depletion instant.
                 let check = Ev::PowerCheck { node: id };
-                state.file(check.ord(), queue.schedule(t0, check));
+                state.file(at, check.ord(), queue.schedule(t0, check));
             }
             if let bcp_mac::sleep::SleepSchedule::Lpl {
                 wake_interval,
@@ -159,9 +163,8 @@ impl World {
                 // first channel sample, then doze and sample periodically.
                 queue.schedule(t0 + sample, Ev::Sleep { node: id });
                 let first = Ev::WakeSample { node: id };
-                state.file(first.ord(), queue.schedule(t0 + wake_interval, first));
+                state.file(at, first.ord(), queue.schedule(t0 + wake_interval, first));
             }
-            state.nodes[id.index()] = Some(node);
         }
 
         let mut gqueue: ShardQueue<GlobalEv> = ShardQueue::new();
@@ -228,24 +231,23 @@ impl World {
     }
 
     /// The conservative window size: the smallest latency over (a) radio
-    /// classes whose links cross a shard boundary and (b) — whenever any
-    /// node can die — the death announcement latency. `None` (unbounded)
-    /// when shards cannot interact at all.
+    /// classes whose links cross a shard boundary (read off each class's
+    /// neighbour index, built at its physical reach) and (b) — whenever
+    /// any node can die — the death announcement latency. `None`
+    /// (unbounded) when shards cannot interact at all.
     fn lookahead(
         scen: &Scenario,
         part: &Partition,
         death_latency: SimDuration,
-        reach: &[f64; 2],
+        neigh: &[Arc<NeighborIndex>; 2],
     ) -> Option<SimDuration> {
         let mut l: Option<SimDuration> = None;
         let mut fold = |d: SimDuration| l = Some(l.map_or(d, |cur| cur.min(d)));
         if part.k() > 1 {
-            if part.has_cross_links(&scen.topo, reach[Class::Low.index()]) {
+            if neigh[Class::Low.index()].has_cross_links(part) {
                 fold(scen.link_latency(Class::Low));
             }
-            if scen.model != ModelKind::Sensor
-                && part.has_cross_links(&scen.topo, reach[Class::High.index()])
-            {
+            if scen.model != ModelKind::Sensor && neigh[Class::High.index()].has_cross_links(part) {
                 fold(scen.link_latency(Class::High));
             }
         }
@@ -298,12 +300,14 @@ impl World {
         // Close every surviving battery against its meters at the horizon
         // (dead nodes were closed at the instant of death); walk nodes in
         // id order so float accumulation is shard-count invariant.
-        let shard_of = |i: usize| part.shard_of(bcp_net::addr::NodeId(i as u32));
+        let slot = |i: usize| {
+            let id = bcp_net::addr::NodeId(i as u32);
+            (part.shard_of(id), part.local_of(id))
+        };
         let per_node: Vec<crate::metrics::NodePowerReport> = (0..n)
             .map(|i| {
-                let node = shards[shard_of(i)].nodes[i]
-                    .as_mut()
-                    .expect("owner has the node");
+                let (s, ix) = slot(i);
+                let node = &mut shards[s].nodes[ix];
                 let metered = node.metered_total(end);
                 if let (true, Some(s)) = (node.is_alive(), node.supply.as_mut()) {
                     s.sync_to(metered);
@@ -338,9 +342,8 @@ impl World {
         let mut low_idle = Energy::ZERO;
         let mut low_sleep = Energy::ZERO;
         for i in 0..n {
-            let node = shards[shard_of(i)].nodes[i]
-                .as_ref()
-                .expect("owner has the node");
+            let (s, ix) = slot(i);
+            let node = &shards[s].nodes[ix];
             let low = node.low_radio.report(end);
             low_idle += low.of(B::Idle);
             low_sleep += low.of(B::Sleep);
@@ -456,7 +459,7 @@ impl Scaffold {
             }
             dests
         });
-        let lookahead = World::lookahead(&scen, &part, death_latency, &reach);
+        let lookahead = World::lookahead(&scen, &part, death_latency, &neigh);
         let threads = worker_count(part.k());
         Scaffold {
             scen,
@@ -489,18 +492,26 @@ impl Scaffold {
         self.phys[class] = Some(Arc::new(cp));
     }
 
-    /// A shard shell: correct id and topology wiring, fresh channels, no
-    /// nodes, empty tables. Both the builder and the snapshot-restore
-    /// path start from this and fill the node state in.
+    /// A shard shell: correct id and topology wiring, no nodes, empty
+    /// tables with room for exactly the nodes it owns. Both the builder
+    /// and the snapshot-restore path start from this and place each owned
+    /// node with [`ShardState::place`].
     pub(crate) fn blank_shard(
         &self,
         id: usize,
-        seeds_low: &[u64],
-        seeds_high: &[u64],
         shared: &Arc<crate::routes::SharedNet>,
         trace: bool,
     ) -> ShardState {
-        let n = self.scen.topo.len();
+        let owned = self.part.shard_sizes()[id];
+        let ix_of = self
+            .scen
+            .topo
+            .nodes()
+            .map(|m| match self.part.shard_of(m) == id {
+                true => self.part.local_of(m) as u32,
+                false => u32::MAX,
+            })
+            .collect();
         ShardState {
             id,
             scen: Arc::clone(&self.scen),
@@ -509,14 +520,15 @@ impl Scaffold {
             neigh: [Arc::clone(&self.neigh[0]), Arc::clone(&self.neigh[1])],
             phys: [self.phys[0].clone(), self.phys[1].clone()],
             shared: Arc::clone(shared),
-            nodes: (0..n).map(|_| None).collect(),
+            nodes: Vec::with_capacity(owned),
+            ix_of,
             chans: [
-                Channel::new(n, &self.scen.loss_low, seeds_low),
-                Channel::new(n, &self.scen.loss_high, seeds_high),
+                Channel::with_capacity(owned, &self.scen.loss_low),
+                Channel::with_capacity(owned, &self.scen.loss_high),
             ],
             payloads: FastMap::default(),
             txs: FastMap::default(),
-            timers: vec![Vec::new(); n],
+            timers: Vec::with_capacity(owned),
             lpl_audible: FastMap::default(),
             fates: FateBook::default(),
             mac_pool: Vec::new(),
